@@ -569,7 +569,8 @@ def generate_small(n: int, constraint: str = "any", *,
     Exhaustive mode streams every structure up to isomorphism (sizes
     2..n, canonical-form deduplication); random mode is an endless
     seed-deterministic stream.  ``constraint`` filters by checker:
-    "complemented" or "pseudo_om" or "any".
+    "complemented" or "pseudo_om" or "any".  The arguments are checked
+    when the stream is made, before it yields anything.
     """
     if constraint not in ("any", "complemented", "pseudo_om"):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -577,13 +578,16 @@ def generate_small(n: int, constraint: str = "any", *,
         if n > EXHAUSTIVE_SIZE_CAP:
             raise SizeLimitExceeded(
                 f"exhaustive generation is capped at {EXHAUSTIVE_SIZE_CAP} elements")
-        yield from _exhaustive(n, constraint)
-        return
+        return _exhaustive(n, constraint)
     if n > RANDOM_SIZE_CAP:
         raise SizeLimitExceeded(
             f"random generation is capped at {RANDOM_SIZE_CAP} elements")
     if seed is None:
         raise ValueError("random mode needs a seed")
+    return _random(n, constraint, seed)
+
+
+def _random(n: int, constraint: str, seed: int) -> Iterator[FinitePoset]:
     rng = random.Random(seed)
     even_only = constraint in ("complemented", "pseudo_om")
     sizes = [m for m in range(2, n + 1) if not (even_only and m % 2)]

@@ -18,6 +18,7 @@ from .errors import MissingInvolution, NotALattice, NotComplemented
 from .poset import (
     ElementSet,
     FinitePoset,
+    LatticeView,
     bits,
     is_antitone_involution,
     is_complementation,
@@ -50,19 +51,48 @@ def _distributive_violation(poset: FinitePoset, dual: bool) -> tuple | None:
     return None
 
 
-def is_distributive_poset(poset: FinitePoset) -> CheckReport:
-    """Cone distributivity, checked through both displayed identities."""
-    lower_form = _distributive_violation(poset, dual=False)
-    upper_form = _distributive_violation(poset, dual=True)
+def _lattice_distributive_violation(view: LatticeView, dual: bool) -> tuple | None:
+    """The cone identities on a lattice, where every cone is principal:
+    L(U(x,y),z) is L((x v y) ^ z) and LU(L(x,z),L(y,z)) is
+    L((x ^ z) v (y ^ z)); the dual form swaps join and meet.  Triples
+    are visited in the order of :func:`_distributive_violation`."""
+    join, meet = (view.join, view.meet) if not dual else (view.meet, view.join)
+    for x in range(view.size):
+        for y in range(view.size):
+            lhs = meet[join[x][y]]
+            for z in range(view.size):
+                if lhs[z] != join[meet[x][z]][meet[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def _distributive_report(lower_form: tuple | None, upper_form: tuple | None,
+                         name_of) -> CheckReport:
     assert (lower_form is None) == (upper_form is None), \
         "the two distributivity identities must agree"
     if lower_form is None:
         return CheckReport("distributive", True)
     x, y, z = lower_form
     return CheckReport("distributive", False,
-                       witness={"x": poset.names[x], "y": poset.names[y],
-                                "z": poset.names[z]},
+                       witness={"x": name_of(x), "y": name_of(y), "z": name_of(z)},
                        details="L(U(x,y),z) differs from LU(L(x,z),L(y,z))")
+
+
+def is_distributive_poset(poset: FinitePoset) -> CheckReport:
+    """Cone distributivity, checked through both displayed identities."""
+    return _distributive_report(_distributive_violation(poset, dual=False),
+                                _distributive_violation(poset, dual=True),
+                                poset.names.__getitem__)
+
+
+def is_distributive_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
+    """Cone distributivity of a lattice, both identities read off its
+    join and meet tables; same verdict and witness as
+    :func:`is_distributive_poset`."""
+    view = lattice.view
+    return _distributive_report(_lattice_distributive_violation(view, dual=False),
+                                _lattice_distributive_violation(view, dual=True),
+                                view.name_of)
 
 
 def is_boolean_poset(poset: FinitePoset) -> CheckReport:
@@ -126,71 +156,41 @@ def is_orthomodular_poset(poset: FinitePoset) -> CheckReport:
     return CheckReport("orthomodular-poset", True)
 
 
-class _LatticeOps:
-    """Uniform join/meet/complement access for a FinitePoset lattice or a
-    completion, so lattice checkers can run on either without building
-    quadratic tables they do not need."""
-
-    def __init__(self, lattice: "FinitePoset | DMLattice"):
-        if isinstance(lattice, DMLattice):
-            dm = lattice
-            self.size = len(dm)
-            self.names = [dm.name_of(k) for k in range(self.size)]
-            if dm.inv is None:
-                raise MissingInvolution("completion carries no involution")
-            self.inv = dm.inv
-            self.bottom, self.top = dm.bottom, dm.top
-            self.join, self.meet, self.leq = dm.join, dm.meet, dm.leq
-        else:
-            poset = lattice
-            bad = lattice_violation(poset)
-            if bad is not None:
-                raise NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
-            self.size = poset.n
-            self.names = list(poset.names)
-            self.inv = poset.require_involution()
-            self.bottom, self.top = poset.require_bounds()
-            joins = [[0] * poset.n for _ in range(poset.n)]
-            meets = [[0] * poset.n for _ in range(poset.n)]
-            for i in range(poset.n):
-                for j in range(poset.n):
-                    joins[i][j] = poset.join_of((1 << i) | (1 << j))
-                    meets[i][j] = poset.meet_of((1 << i) | (1 << j))
-            self.join = lambda i, j: joins[i][j]
-            self.meet = lambda i, j: meets[i][j]
-            self.leq = lambda i, j: bool((poset.up[i] >> j) & 1)
-
-    def check_complemented(self):
-        for k in range(self.size):
-            if self.meet(k, self.inv[k]) != self.bottom or self.join(k, self.inv[k]) != self.top:
-                raise NotComplemented(f"{self.names[k]} meets or joins its image improperly")
-
-
 def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
     """Lattice orthomodularity via x v y = ((x v y) ^ y') v y, cross
     checked against the x <= y, x' ^ y = 0 implies x = y condition."""
-    if isinstance(lattice, FinitePoset) and lattice.inv is not None:
-        anti = is_antitone_involution(lattice)
-        if not anti.holds:
-            raise NotComplemented("involution is not antitone: " + anti.details)
-    ops = _LatticeOps(lattice)
-    ops.check_complemented()
+    if isinstance(lattice, DMLattice):
+        if lattice.inv is None:
+            raise MissingInvolution("completion carries no involution")
+        view, inv, bottom, top = lattice.view, lattice.inv, lattice.bottom, lattice.top
+    else:
+        if lattice.inv is not None:
+            anti = is_antitone_involution(lattice)
+            if not anti.holds:
+                raise NotComplemented("involution is not antitone: " + anti.details)
+        view = lattice.view
+        inv = lattice.require_involution()
+        bottom, top = lattice.require_bounds()
+    join, meet, size = view.join, view.meet, view.size
+    for k in range(size):
+        if meet[k][inv[k]] != bottom or join[k][inv[k]] != top:
+            raise NotComplemented(f"{view.name_of(k)} meets or joins its image improperly")
 
     identity = None
-    for x in range(ops.size):
+    for x in range(size):
         if identity:
             break
-        for y in range(ops.size):
-            top = ops.join(x, y)
-            if ops.join(ops.meet(top, ops.inv[y]), y) != top:
+        for y in range(size):
+            top_xy = join[x][y]
+            if join[meet[top_xy][inv[y]]][y] != top_xy:
                 identity = (x, y)
                 break
     exchange = None
-    for x in range(ops.size):
+    for x in range(size):
         if exchange:
             break
-        for y in range(ops.size):
-            if x != y and ops.leq(x, y) and ops.meet(ops.inv[x], y) == ops.bottom:
+        for y in range(size):
+            if x != y and meet[x][y] == x and meet[inv[x]][y] == bottom:
                 exchange = (x, y)
                 break
     assert (identity is None) == (exchange is None), \
@@ -199,31 +199,21 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
         return CheckReport("orthomodular-lattice", True)
     x, y = identity
     return CheckReport("orthomodular-lattice", False,
-                       witness={"x": ops.names[x], "y": ops.names[y]},
+                       witness={"x": view.name_of(x), "y": view.name_of(y)},
                        details="((x v y) ^ y') v y differs from x v y")
 
 
 def find_modularity_violation(lattice: "FinitePoset | DMLattice") -> dict | None:
     """First x <= z and y with x v (y ^ z) != (x v y) ^ z, or None."""
-    if isinstance(lattice, DMLattice):
-        dm = lattice
-        size, names = len(dm), [dm.name_of(k) for k in range(len(dm))]
-        join, meet, leq = dm.join, dm.meet, dm.leq
-    else:
-        bad = lattice_violation(lattice)
-        if bad is not None:
-            raise NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
-        size, names = lattice.n, list(lattice.names)
-        join = lambda i, j: lattice.join_of((1 << i) | (1 << j))
-        meet = lambda i, j: lattice.meet_of((1 << i) | (1 << j))
-        leq = lattice.leq
+    view = lattice.view
+    join, meet, size = view.join, view.meet, view.size
     for x in range(size):
         for z in range(size):
-            if x == z or not leq(x, z):
+            if x == z or meet[x][z] != x:
                 continue
             for y in range(size):
-                if join(x, meet(y, z)) != meet(join(x, y), z):
-                    return {"x": names[x], "y": names[y], "z": names[z]}
+                if join[x][meet[y][z]] != meet[join[x][y]][z]:
+                    return {"x": view.name_of(x), "y": view.name_of(y), "z": view.name_of(z)}
     return None
 
 
@@ -535,7 +525,7 @@ PROPERTIES = {
     "completion-orthomodular": lambda ctx: _renamed(
         is_orthomodular_lattice(ctx.dm), "completion-orthomodular"),
     "completion-distributive": lambda ctx: _renamed(
-        is_distributive_poset(ctx.dm.as_poset()), "completion-distributive"),
+        is_distributive_lattice(ctx.dm), "completion-distributive"),
     "completion-modular": lambda ctx: _renamed(
         is_modular_lattice(ctx.dm), "completion-modular"),
 }

@@ -10,7 +10,9 @@ Subcommands:
   export     emit a DOT rendering of the cover relation
 
 Exit codes: 0 when every requested check passed, 1 when some check
-failed, 2 on usage errors, 3 on parse or input data errors.
+failed, 2 on usage errors, 3 on parse or input data errors, 5 when a
+completion or a generator went past its size cap (4 is reserved for
+internal errors).
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import argparse
 import hashlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+# Unused here: bench/reference.py still swaps this name to time the thread
+# pool that ``check`` used to run its properties on.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 from typing import Sequence
 
@@ -68,14 +72,6 @@ _SKIP_ERRORS = (
     NotALattice,
     SizeLimitExceeded,
 )
-
-_NEEDS_COMPLETION = {
-    "strongly-d-continuous",
-    "finch",
-    "completion-orthomodular",
-    "completion-distributive",
-    "completion-modular",
-}
 
 
 class _UsageError(Exception):
@@ -152,21 +148,13 @@ def _failed_precondition(name: str, exc: Exception, **extra) -> CheckReport:
 
 
 def _run_properties(ctx: CheckContext, names: "list[str]"):
-    """Evaluate properties in worker threads, results in argument order."""
-    if any(name in _NEEDS_COMPLETION for name in names):
+    """Evaluate properties in argument order; a property aborted by a
+    precondition yields its exception in place of a report."""
+    for name in names:
         try:
-            ctx.dm.as_poset()
-        except SizeLimitExceeded:
-            pass
-
-    def one(name):
-        try:
-            return name, PROPERTIES[name](ctx), None
+            yield name, PROPERTIES[name](ctx), None
         except _SKIP_ERRORS as exc:
-            return name, None, exc
-
-    with ThreadPoolExecutor(max_workers=min(8, len(names))) as pool:
-        return list(pool.map(one, names))
+            yield name, None, exc
 
 
 def _cmd_check(args) -> int:
@@ -313,6 +301,12 @@ def _cmd_hsum(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    stream = None
+    if args.generate:
+        if args.seed is None:
+            raise _UsageError("--generate requires --seed")
+        stream = generate_small(args.max_size, "complemented", seed=args.seed)
+
     names = args.member or list(corpus_mod.member_names())
     bad = 0
     for name in names:
@@ -322,10 +316,7 @@ def _cmd_corpus(args) -> int:
             print(f"corpus:   {text}")
         bad += len(problems)
 
-    if args.generate:
-        if args.seed is None:
-            raise _UsageError("--generate requires --seed")
-        stream = generate_small(args.max_size, "complemented", seed=args.seed)
+    if stream is not None:
         disagreements = 0
         for _ in range(args.generate):
             poset = next(stream)
@@ -447,6 +438,9 @@ def cli_main(argv: "Sequence[str] | None" = None) -> int:
     except CorpusError as exc:
         print(f"{TOOL}: corpus error: {exc}", file=sys.stderr)
         return 3
+    except SizeLimitExceeded as exc:
+        print(f"{TOOL}: size limit: {exc}", file=sys.stderr)
+        return 5
     except PosetError as exc:
         print(f"{TOOL}: invalid input: {exc}", file=sys.stderr)
         return 3

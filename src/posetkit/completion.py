@@ -2,15 +2,17 @@
 
 A subset B is closed when L(U(B)) = B.  The closed sets ordered by
 inclusion form a complete lattice into which the poset embeds via
-x -> L(x); the embedding preserves all existing joins and meets.  Closed
-sets are enumerated in lectic order with the NextClosure scheme, so the
-enumeration index is the canonical order on completion elements.
+x -> L(x); the embedding preserves all existing joins and meets.  The
+closed sets are exactly the carrier together with every intersection of
+principal down-sets L(x), so they are grown as an intersection-closed
+family and then sorted into lectic order; the position in that order is
+the canonical order on completion elements.
 """
 
 from __future__ import annotations
 
 from .errors import SizeLimitExceeded
-from .poset import ElementSet, FinitePoset, bits, is_antitone_involution
+from .poset import ElementSet, FinitePoset, LatticeView, bits, is_antitone_involution
 from .report import CheckReport
 
 DEFAULT_MAX_CLOSED_SETS = 100_000
@@ -18,13 +20,14 @@ DEFAULT_MAX_CLOSED_SETS = 100_000
 
 def closure(poset: FinitePoset, subset: ElementSet) -> ElementSet:
     """L(U(subset)); extensive, monotone and idempotent."""
-    return poset.lower_cone(poset.upper_cone(subset))
+    return poset.closure(subset)
 
 
 class DMLattice:
     """Completion of ``base``: all closed subsets in lectic order."""
 
-    __slots__ = ("base", "closed", "index", "embed", "inv", "bottom", "top", "_poset")
+    __slots__ = ("base", "closed", "index", "embed", "inv", "bottom", "top",
+                 "_up", "_poset", "_view")
 
     def __init__(self, base: FinitePoset, closed: list[int]):
         self.base = base
@@ -34,7 +37,9 @@ class DMLattice:
         self.bottom = self.index[closure(base, 0)]
         self.top = self.index[base.full]
         self.inv = None
+        self._up = None
         self._poset = None
+        self._view = None
         if base.inv is not None and is_antitone_involution(base).holds:
             self.inv = self._induced_involution()
 
@@ -48,6 +53,11 @@ class DMLattice:
         return self.index[self.closed[i] & self.closed[j]]
 
     def join(self, i: int, j: int) -> int:
+        """De Morgan through the induced involution when there is one,
+        the closure of the union otherwise."""
+        if self.inv is not None:
+            inv = self.inv
+            return inv[self.meet(inv[i], inv[j])]
         return self.index[closure(self.base, self.closed[i] | self.closed[j])]
 
     def meet_all(self, indices) -> int:
@@ -77,11 +87,46 @@ class DMLattice:
             assert self.closed[star[self.embed[i]]] == base.down[base.inv[i]], \
                 "induced involution does not extend the base involution"
         if len(self.closed) <= 2000:
-            for i, x in enumerate(self.closed):
-                for j, y in enumerate(self.closed):
-                    if x & ~y == 0 and self.closed[star[j]] & ~self.closed[star[i]]:
+            up = self._up_rows()
+            for i in range(len(self.closed)):
+                for j in bits(up[i]):
+                    if not (up[star[j]] >> star[i]) & 1:
                         raise AssertionError("induced involution is not antitone")
         return tuple(star)
+
+    def _up_rows(self) -> tuple[int, ...]:
+        """Row i marks, by index, the closed sets that contain closed[i]:
+        the AND over e in closed[i] of the closed sets holding e."""
+        if self._up is None:
+            holders = [0] * self.base.n
+            for k, mask in enumerate(self.closed):
+                for e in bits(mask):
+                    holders[e] |= 1 << k
+            rows = []
+            for mask in self.closed:
+                row = (1 << len(self.closed)) - 1
+                for e in bits(mask):
+                    row &= holders[e]
+                rows.append(row)
+            self._up = tuple(rows)
+        return self._up
+
+    @property
+    def view(self) -> LatticeView:
+        """Join and meet tables, built on first use: meet is intersection,
+        join goes through :meth:`join`."""
+        if self._view is None:
+            index, closed = self.index, self.closed
+            meet = [[index[x & y] for y in closed] for x in closed]
+            if self.inv is not None:
+                inv = self.inv
+                join = [[inv[meet[inv[i]][inv[j]]] for j in range(len(closed))]
+                        for i in range(len(closed))]
+            else:
+                join = [[self.join(i, j) for j in range(len(closed))]
+                        for i in range(len(closed))]
+            self._view = LatticeView(join, meet, self.name_of)
+        return self._view
 
     def name_of(self, k: int) -> str:
         """Closed sets are down-sets, so the maximal elements identify
@@ -96,57 +141,35 @@ class DMLattice:
         """The completion as a plain FinitePoset; element ids equal the
         lectic enumeration indices."""
         if self._poset is None:
-            size = len(self.closed)
-            names = tuple(self.name_of(k) for k in range(size))
-            up = []
-            for i in range(size):
-                row = 0
-                for j in range(size):
-                    if self.closed[i] & ~self.closed[j] == 0:
-                        row |= 1 << j
-                up.append(row)
-            self._poset = FinitePoset(names, tuple(up), self.inv)
+            names = tuple(self.name_of(k) for k in range(len(self.closed)))
+            self._poset = FinitePoset(names, self._up_rows(), self.inv)
         return self._poset
 
 
 def complete(poset: FinitePoset,
              max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS) -> DMLattice:
-    """Enumerate all closed subsets in lectic order.
+    """All closed subsets in lectic order.
 
-    NextClosure over the ground set in id order: the successor of A is
-    closure((A & low_i) | {i}) for the largest i not in A whose closure
-    adds nothing below i.  Raises SizeLimitExceeded past the cap.
+    The family starts as {P} and takes in the intersection of each member
+    with each principal down-set L(x) in turn, which leaves it holding
+    every intersection of principal down-sets: O(n*m) word ANDs for m
+    closed sets.  Lectic order puts A before B when the lowest element
+    where they differ lies in B, so the family is sorted on its
+    bit-reversed masks.  Raises SizeLimitExceeded as soon as the family
+    outgrows the cap; a completion of one closed set passes any cap.
     """
-    n = poset.n
-    current = closure(poset, 0)
-    out = [current]
-    full = poset.full
-    while current != full:
-        if len(out) >= max_closed_sets:
-            raise SizeLimitExceeded(
-                f"more than {max_closed_sets} closed sets; raise max_closed_sets")
-        succ = None
-        for i in reversed(range(n)):
-            bit = 1 << i
-            if current & bit:
-                continue
-            low = bit - 1
-            candidate = closure(poset, (current & low) | bit)
-            if candidate & low == current & low:
-                succ = candidate
-                break
-        assert succ is not None, "lectic successor must exist below the full set"
-        current = succ
-        out.append(current)
-    return DMLattice(poset, out)
-
-
-def dm_join(lattice: DMLattice, i: int, j: int) -> int:
-    return lattice.join(i, j)
-
-
-def dm_meet(lattice: DMLattice, i: int, j: int) -> int:
-    return lattice.meet(i, j)
+    cap = max(max_closed_sets, 1)
+    family = {poset.full}
+    for row in poset.down:
+        for mask in list(family):
+            mask &= row
+            if mask not in family:
+                family.add(mask)
+                if len(family) > cap:
+                    raise SizeLimitExceeded(
+                        f"more than {max_closed_sets} closed sets; raise max_closed_sets")
+    width = f"0{poset.n}b"
+    return DMLattice(poset, sorted(family, key=lambda mask: format(mask, width)[::-1]))
 
 
 def induced_involution(lattice: DMLattice) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from .errors import (
     MissingBounds,
     MissingInvolution,
     NotAFunction,
+    NotALattice,
     PosetError,
 )
 from .report import CheckReport
@@ -70,7 +71,8 @@ class FinitePoset:
     validates the order axioms.
     """
 
-    __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids")
+    __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids",
+                 "_view")
 
     def __init__(self, names: tuple[str, ...], up: tuple[int, ...],
                  inv: tuple[int, ...] | None = None):
@@ -108,6 +110,7 @@ class FinitePoset:
         self.bottom = bottoms[0] if bottoms else None
         self.top = tops[0] if tops else None
         self._ids = {name: i for i, name in enumerate(names)}
+        self._view = None
 
     # -- element and subset helpers -------------------------------------
 
@@ -204,6 +207,23 @@ class FinitePoset:
     def meet_of(self, subset: ElementSet) -> int | None:
         return self.max_of(self.lower_cone(subset))
 
+    @property
+    def view(self) -> "LatticeView":
+        """Join and meet tables, built on first use.  U(i,j) has a least
+        element exactly when it is some principal up-set, so each join is
+        one dict lookup, and each meet the dual one.  Raises NotALattice
+        naming the first pair without a join or a meet."""
+        if self._view is None:
+            by_up = {row: k for k, row in enumerate(self.up)}
+            by_down = {row: k for k, row in enumerate(self.down)}
+            join = [[by_up.get(row & other) for other in self.up] for row in self.up]
+            meet = [[by_down.get(row & other) for other in self.down] for row in self.down]
+            if any(None in row for row in join) or any(None in row for row in meet):
+                bad = lattice_violation(self)
+                raise NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
+            self._view = LatticeView(join, meet, self.names.__getitem__)
+        return self._view
+
     # -- small derived data ------------------------------------------------
 
     def atoms(self) -> ElementSet:
@@ -238,6 +258,21 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset({self.n} elements)"
+
+
+class LatticeView:
+    """Element-valued join and meet of a finite lattice as tables:
+    ``join[i][j]`` and ``meet[i][j]`` are element ids.  Built once per
+    lattice, by :attr:`FinitePoset.view` or :attr:`DMLattice.view`;
+    ``name_of`` names an element for witnesses."""
+
+    __slots__ = ("size", "join", "meet", "name_of")
+
+    def __init__(self, join: list[list[int]], meet: list[list[int]], name_of):
+        self.size = len(meet)
+        self.join = join
+        self.meet = meet
+        self.name_of = name_of
 
 
 def build_poset(names: Iterable[object], relation: Iterable[tuple[object, object]],

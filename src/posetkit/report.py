@@ -36,7 +36,3 @@ class CheckReport:
         if self.details:
             out.append("- " + self.details)
         return " ".join(out)
-
-
-def fmt_names(names) -> tuple[str, ...]:
-    return tuple(names)

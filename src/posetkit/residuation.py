@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import DMLattice
-from .errors import NoRelativePseudocomplement, NotALattice
-from .poset import ElementSet, FinitePoset, bits, lattice_violation
+from .errors import NoRelativePseudocomplement
+from .poset import ElementSet, FinitePoset, bits
 from .report import CheckReport
 
 KINDS = ("boolean", "relpseudo", "pseudo_om")
@@ -175,12 +175,8 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    bad = lattice_violation(lattice)
-    if bad is not None:
-        raise NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
+    join, meet = lattice.view.join, lattice.view.meet
     n = lattice.n
-    join = [[lattice.join_of((1 << i) | (1 << j)) for j in range(n)] for i in range(n)]
-    meet = [[lattice.meet_of((1 << i) | (1 << j)) for j in range(n)] for i in range(n)]
     odot = [[0] * n for _ in range(n)]
     arrow = [[0] * n for _ in range(n)]
     if kind == "relpseudo":

@@ -134,8 +134,20 @@ def test_complete_writes_document_to_file(capsys, tmp_path):
 
 def test_complete_respects_cap(capsys):
     code, _, err = run(capsys, "complete", "ba16", "--max-closed-sets", "10")
-    assert code == 3
-    assert "invalid input" in err
+    assert code == 5
+    assert err == "posetkit: size limit: more than 10 closed sets; raise max_closed_sets\n"
+
+
+def test_hit_caps_exit_with_the_size_limit_code(capsys):
+    code, out, err = run(capsys, "export", "fig3", "--completion",
+                         "--max-closed-sets", "5")
+    assert (code, out) == (5, "")
+    assert err.startswith("posetkit: size limit: more than 5 closed sets")
+    # the generator's cap is checked before any member is verified
+    code, out, err = run(capsys, "corpus", "--generate", "5", "--seed", "1",
+                         "--max-size", "14")
+    assert (code, out) == (5, "")
+    assert err == "posetkit: size limit: random generation is capped at 12 elements\n"
 
 
 # ----------------------------------------------------------------- residuate

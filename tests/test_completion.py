@@ -5,12 +5,14 @@ import pytest
 from posetkit import corpus
 from posetkit.build import generate_small
 from posetkit.completion import (
+    DEFAULT_MAX_CLOSED_SETS,
     check_join_meet_density,
     closure,
     complete,
     induced_involution,
 )
 from posetkit.errors import MissingInvolution, SizeLimitExceeded
+from posetkit.poset import build_poset
 
 SMALL_MEMBERS = ("chain2", "chain3", "ba4", "mo2", "benzene", "diamond")
 WITH_INVOLUTION = tuple(name for name in corpus.member_names()
@@ -19,6 +21,53 @@ WITH_INVOLUTION = tuple(name for name in corpus.member_names()
 
 def brute_force_closed_sets(poset):
     return {closure(poset, subset) for subset in range(poset.full + 1)}
+
+
+def next_closure(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
+    """Ganter's NextClosure ("Two basic algorithms in concept analysis",
+    1984), the enumeration complete() used before intersection closure.
+
+    The lectic successor of A is closure((A & low_i) | {i}) for the
+    largest i not in A whose closure adds nothing below i.
+    """
+    current = closure(poset, 0)
+    out = [current]
+    while current != poset.full:
+        if len(out) >= max_closed_sets:
+            raise SizeLimitExceeded(
+                f"more than {max_closed_sets} closed sets; raise max_closed_sets")
+        for i in reversed(range(poset.n)):
+            bit = 1 << i
+            if current & bit:
+                continue
+            low = bit - 1
+            candidate = closure(poset, (current & low) | bit)
+            if candidate & low == current & low:
+                break
+        else:
+            raise AssertionError("lectic successor must exist below the full set")
+        current = candidate
+        out.append(current)
+    return out
+
+
+def crown(k):
+    """S_k: 0 < a_i < b_j < 1 for i != j, with a_i' = b_i; its completion
+    is the Boolean algebra on k atoms."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    covers = ([("0", x) for x in a] + [(y, "1") for y in b]
+              + [(a[i], b[j]) for i in range(k) for j in range(k) if i != j])
+    involution = [("0", "1")] + list(zip(a, b))
+    return build_poset(["0"] + a + b + ["1"], covers, involution=involution)
+
+
+FAMILIES = {
+    **{f"chain{k}": corpus.chain(k) for k in (2, 3, 5, 9, 17)},
+    **{f"ba{1 << k}": corpus.boolean_algebra(k) for k in range(6)},
+    **{f"crown{k}": crown(k) for k in range(3, 7)},
+    **{f"mo{n}": corpus.mo(n) for n in (1, 2, 5, 9)},
+}
 
 
 @pytest.mark.parametrize("name", SMALL_MEMBERS)
@@ -108,3 +157,42 @@ def test_new_elements_are_named_by_their_maximal_members():
 def test_size_cap():
     with pytest.raises(SizeLimitExceeded):
         complete(corpus.load("ba16"), max_closed_sets=10)
+
+
+@pytest.mark.parametrize("name", corpus.member_names())
+def test_lectic_order_matches_next_closure_on_the_corpus(name):
+    poset = corpus.load(name)
+    assert list(complete(poset).closed) == next_closure(poset)
+
+
+@pytest.mark.parametrize("label", FAMILIES)
+def test_lectic_order_matches_next_closure_on_families(label):
+    poset = FAMILIES[label]
+    assert list(complete(poset).closed) == next_closure(poset)
+
+
+def test_lectic_order_matches_next_closure_on_generated_posets():
+    generated = (list(generate_small(5, "any", exhaustive=True))
+                 + list(generate_small(7, "complemented", exhaustive=True)))
+    for poset in generated:
+        assert list(complete(poset).closed) == next_closure(poset)
+
+
+def closed_sets_or_cap(enumerate_closed, poset, cap):
+    try:
+        return list(enumerate_closed(poset, cap))
+    except SizeLimitExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("label", ["fig3", "diamond", "ba1", "ba16", "chain2", "crown4"])
+def test_cap_matches_next_closure(label):
+    poset = FAMILIES[label] if label in FAMILIES else corpus.load(label)
+    count = len(next_closure(poset))
+    assert len(complete(poset, max_closed_sets=count)) == count
+    if count > 1:
+        with pytest.raises(SizeLimitExceeded):
+            complete(poset, max_closed_sets=count - 1)
+    for cap in range(-1, count + 2):
+        assert (closed_sets_or_cap(lambda p, c: complete(p, c).closed, poset, cap)
+                == closed_sets_or_cap(next_closure, poset, cap))
