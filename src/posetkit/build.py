@@ -7,11 +7,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .checks import is_orthomodular_poset, is_pseudo_orthomodular
 from .completion import DEFAULT_MAX_CLOSED_SETS, complete
 from .errors import (
+    InternalError,
     InvalidDiagram,
     MissingInvolution,
     NotComplementClosed,
@@ -26,7 +27,7 @@ from .poset import (
     bits,
     is_complementation,
     is_lattice,
-    labeled_equal,
+    labeled_diff,
     popcount,
 )
 from .report import CheckReport
@@ -219,7 +220,7 @@ def greechie_to_omp(diagram: GreechieDiagram) -> FinitePoset:
     classes when some representatives share a block and are included as
     subsets there; the involution is the in-block complement.  The
     orthomodularity of the result and the loop criterion for being a
-    lattice are asserted rather than trusted.
+    lattice are checked rather than trusted.
     """
     valid = validate_greechie(diagram)
     if not valid.holds:
@@ -307,10 +308,10 @@ def greechie_to_omp(diagram: GreechieDiagram) -> FinitePoset:
         result = FinitePoset(names, tuple(up), tuple(inv))
     except PosetError as exc:
         raise InvalidDiagram(f"pasting did not produce a poset: {exc}") from exc
-    assert is_orthomodular_poset(result).holds, \
-        "pasting must produce an orthomodular poset"
-    assert is_lattice(result) == (_find_loop(masks, 4) is None), \
-        "lattice exactly when the diagram has no loop of order 4"
+    if not is_orthomodular_poset(result).holds:
+        raise InternalError("pasting must produce an orthomodular poset")
+    if is_lattice(result) != (_find_loop(masks, 4) is None):
+        raise InternalError("lattice exactly when the diagram has no loop of order 4")
     return result
 
 
@@ -352,26 +353,6 @@ def induced_subposet(poset: FinitePoset, subset: ElementSet) -> FinitePoset:
 # -- completion of a horizontal sum ---------------------------------------
 
 
-def _labeled_diff(left: FinitePoset, right: FinitePoset) -> dict | None:
-    only_left = set(left.names) - set(right.names)
-    only_right = set(right.names) - set(left.names)
-    if only_left or only_right:
-        return {"only-left": tuple(sorted(only_left)),
-                "only-right": tuple(sorted(only_right))}
-    to_right = [right.id_of(name) for name in left.names]
-    for i in range(left.n):
-        for j in range(left.n):
-            if left.leq(i, j) != right.leq(to_right[i], to_right[j]):
-                return {"x": left.names[i], "y": left.names[j], "reason": "order"}
-    if (left.inv is None) != (right.inv is None):
-        return {"reason": "involution present on one side only"}
-    if left.inv is not None:
-        for i in range(left.n):
-            if to_right[left.inv[i]] != right.inv[to_right[i]]:
-                return {"x": left.names[i], "reason": "involution"}
-    return None
-
-
 def dm_hsum_isomorphism(parts: Sequence[FinitePoset],
                         max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS) -> CheckReport:
     """Completion of a horizontal sum against the horizontal sum of the
@@ -383,7 +364,7 @@ def dm_hsum_isomorphism(parts: Sequence[FinitePoset],
     """
     combined = complete(horizontal_sum(parts), max_closed_sets).as_poset()
     summed = horizontal_sum([complete(p, max_closed_sets).as_poset() for p in parts])
-    witness = _labeled_diff(combined, summed)
+    witness = labeled_diff(combined, summed)
     return CheckReport("dm-hsum-isomorphism", witness is None, witness=witness,
                        extra={"closed-sets": str(combined.n)})
 
@@ -539,7 +520,8 @@ def _random_structure(rng: random.Random, size: int, constraint: str) -> FiniteP
                 return candidate
         # the MO-style antichain satisfies both orthogonality constraints
         fallback = _assemble([0] * k, {i: (i + half) % k for i in range(k)})
-        assert _passes(fallback, constraint)
+        if not _passes(fallback, constraint):
+            raise InternalError(f"the antichain fallback fails {constraint!r}")
         return fallback
     for _ in range(12):
         strict = _random_strict_order(rng, k)

@@ -3,18 +3,25 @@
 Every checker returns a :class:`CheckReport`; a failed report always
 carries the first counterexample in canonical element order (ids
 ascending, outer variable first).  Checkers that are stated through a
-pair of equivalent identities evaluate both forms and assert that the
-verdicts agree, so a divergence between the two routes is an internal
-error rather than a silent wrong answer.
+pair of equivalent identities evaluate both forms and raise
+:class:`InternalError` when the verdicts disagree, so a divergence
+between the two routes is never a silent wrong answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .completion import DMLattice, closure, complete, DEFAULT_MAX_CLOSED_SETS
-from .errors import MissingInvolution, NotALattice, NotComplemented
+from .errors import (
+    InternalError,
+    MissingBounds,
+    MissingInvolution,
+    NotALattice,
+    NotComplemented,
+    SizeLimitExceeded,
+)
 from .poset import (
     ElementSet,
     FinitePoset,
@@ -23,6 +30,7 @@ from .poset import (
     is_antitone_involution,
     is_complementation,
     lattice_violation,
+    maximal_orthogonal_subsets,
     orthogonal_subsets,
 )
 from .report import CheckReport
@@ -68,8 +76,8 @@ def _lattice_distributive_violation(view: LatticeView, dual: bool) -> tuple | No
 
 def _distributive_report(lower_form: tuple | None, upper_form: tuple | None,
                          name_of) -> CheckReport:
-    assert (lower_form is None) == (upper_form is None), \
-        "the two distributivity identities must agree"
+    if (lower_form is None) != (upper_form is None):
+        raise InternalError("the two distributivity identities must agree")
     if lower_form is None:
         return CheckReport("distributive", True)
     x, y, z = lower_form
@@ -193,8 +201,8 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
             if x != y and meet[x][y] == x and meet[inv[x]][y] == bottom:
                 exchange = (x, y)
                 break
-    assert (identity is None) == (exchange is None), \
-        "orthomodular identity and exchange condition must agree"
+    if (identity is None) != (exchange is None):
+        raise InternalError("orthomodular identity and exchange condition must agree")
     if identity is None:
         return CheckReport("orthomodular-lattice", True)
     x, y = identity
@@ -252,8 +260,8 @@ def is_pseudo_orthomodular(poset: FinitePoset) -> CheckReport:
         raise NotComplemented(f"pseudo-orthomodularity needs a complementation ({comp.details})")
     lower_form = _pseudo_om_violation(poset, dual=False)
     upper_form = _pseudo_om_violation(poset, dual=True)
-    assert (lower_form is None) == (upper_form is None), \
-        "the two pseudo-orthomodularity identities must agree"
+    if (lower_form is None) != (upper_form is None):
+        raise InternalError("the two pseudo-orthomodularity identities must agree")
     if lower_form is None:
         return CheckReport("pseudo-orthomodular", True)
     x, y = lower_form
@@ -287,8 +295,8 @@ def is_strongly_d_continuous(poset: FinitePoset,
     upper_images = [poset.inv_image(poset.upper_cone(mask)) for mask in lattice.closed]
     for i, x_mask in enumerate(lattice.closed):
         # one-line direction: valid outright in any complemented poset
-        assert x_mask & upper_images[i] == bottom_mask, \
-            "a complemented poset cannot fail the backward direction"
+        if x_mask & upper_images[i] != bottom_mask:
+            raise InternalError("a complemented poset cannot fail the backward direction")
         for j, y_mask in enumerate(lattice.closed):
             if i == j or x_mask & ~y_mask:
                 continue
@@ -308,7 +316,9 @@ def naive_strongly_d_continuous(poset: FinitePoset) -> CheckReport:
     comp = is_complementation(poset)
     if not comp.holds:
         raise NotComplemented("strong D-continuity needs a complementation")
-    assert poset.n <= 14, "naive quantification is exponential"
+    if poset.n > 14:
+        raise SizeLimitExceeded(
+            f"naive quantification is exponential; {poset.n} elements, at most 14")
     bottom_mask = 1 << poset.bottom
     for b_set in range(poset.full + 1):
         upper_b = poset.upper_cone(b_set)
@@ -330,34 +340,6 @@ def naive_strongly_d_continuous(poset: FinitePoset) -> CheckReport:
 # -- completion orthomodularity through maximal orthogonal sets ----------
 
 
-def _maximal_orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[ElementSet]:
-    inv = poset.inv
-    members = list(bits(universe))
-    compatible = {}
-    for a in members:
-        row = 0
-        for b in members:
-            if a != b and (poset.up[a] >> inv[b]) & 1 and (poset.up[b] >> inv[a]) & 1:
-                row |= 1 << b
-        compatible[a] = row
-
-    def expand(chosen: int, candidates: int, excluded: int) -> Iterator[int]:
-        if candidates == 0 and excluded == 0:
-            yield chosen
-            return
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            yield from expand(chosen | low, candidates & compatible[v],
-                              excluded & compatible[v])
-            candidates ^= low
-            excluded |= low
-            rest ^= low
-
-    yield from expand(0, universe, 0)
-
-
 def finch_criterion(poset: FinitePoset,
                     lattice: DMLattice | None = None,
                     max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS) -> CheckReport:
@@ -375,7 +357,7 @@ def finch_criterion(poset: FinitePoset,
     for mask in lattice.closed:
         if mask == zero_closed:
             continue
-        for subset in _maximal_orthogonal_subsets(poset, mask):
+        for subset in maximal_orthogonal_subsets(poset, mask):
             if closure(poset, subset) != mask:
                 return CheckReport(
                     "finch", False,
@@ -447,18 +429,20 @@ class CheckContext:
     def __init__(self, poset: FinitePoset, max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS):
         self.poset = poset
         self.max_closed_sets = max_closed_sets
-        self._dm: DMLattice | None = None
+        self._dm: DMLattice | SizeLimitExceeded | None = None
 
     @property
     def dm(self) -> DMLattice:
+        """The completion; a hit cap is kept and raised again on every
+        later access rather than recomputed."""
         if self._dm is None:
-            self._dm = complete(self.poset, self.max_closed_sets)
+            try:
+                self._dm = complete(self.poset, self.max_closed_sets)
+            except SizeLimitExceeded as exc:
+                self._dm = exc
+        if isinstance(self._dm, SizeLimitExceeded):
+            raise self._dm.with_traceback(None)
         return self._dm
-
-
-def _report_bool(name: str, holds: bool, witness=None, details="") -> CheckReport:
-    return CheckReport(name, holds, witness=witness if not holds else None,
-                       details=details if not holds else "")
 
 
 def _atomic_report(ctx: CheckContext) -> CheckReport:
@@ -519,9 +503,8 @@ PROPERTIES = {
     "orthomodular-poset": lambda ctx: is_orthomodular_poset(ctx.poset),
     "orthomodular-lattice": lambda ctx: is_orthomodular_lattice(ctx.poset),
     "pseudo-orthomodular": lambda ctx: is_pseudo_orthomodular(ctx.poset),
-    "strongly-d-continuous": lambda ctx: is_strongly_d_continuous(
-        ctx.poset, ctx.dm, ctx.max_closed_sets),
-    "finch": lambda ctx: finch_criterion(ctx.poset, ctx.dm, ctx.max_closed_sets),
+    "strongly-d-continuous": lambda ctx: is_strongly_d_continuous(ctx.poset, ctx.dm),
+    "finch": lambda ctx: finch_criterion(ctx.poset, ctx.dm),
     "completion-orthomodular": lambda ctx: _renamed(
         is_orthomodular_lattice(ctx.dm), "completion-orthomodular"),
     "completion-distributive": lambda ctx: _renamed(
@@ -538,3 +521,25 @@ def run_check(name: str, poset: FinitePoset, ctx: CheckContext | None = None,
     if ctx is None:
         ctx = CheckContext(poset, max_closed_sets)
     return PROPERTIES[name](ctx)
+
+
+# Errors that leave a property undecided rather than failed: the input
+# lacks what the property presupposes, or its completion hit the cap.
+PRECONDITION_ERRORS = (
+    MissingInvolution,
+    MissingBounds,
+    NotComplemented,
+    NotALattice,
+    SizeLimitExceeded,
+)
+
+
+def run_properties(ctx: CheckContext, names: Iterable[str]):
+    """Evaluate properties in order, yielding (name, report, None), or
+    (name, None, exc) when a precondition error left the property
+    undecided.  Each entry is read from PROPERTIES as it runs."""
+    for name in names:
+        try:
+            yield name, PROPERTIES[name](ctx), None
+        except PRECONDITION_ERRORS as exc:
+            yield name, None, exc

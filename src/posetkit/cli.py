@@ -10,9 +10,9 @@ Subcommands:
   export     emit a DOT rendering of the cover relation
 
 Exit codes: 0 when every requested check passed, 1 when some check
-failed, 2 on usage errors, 3 on parse or input data errors, 5 when a
-completion or a generator went past its size cap (4 is reserved for
-internal errors).
+failed, 2 on usage errors, 3 on parse or input data errors, 4 when an
+internal invariant failed (a bug in posetkit, not in the input), 5 when
+a completion or a generator went past its size cap.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ from typing import Sequence
 from . import __version__
 from . import corpus as corpus_mod
 from .build import generate_small, greechie_to_omp, horizontal_sum, validate_greechie
-from .checks import PROPERTIES, CheckContext
+from .checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext, run_properties
 from .completion import DEFAULT_MAX_CLOSED_SETS, complete
 from .errors import (
     CorpusError,
-    MissingBounds,
-    MissingInvolution,
+    InternalError,
     NoRelativePseudocomplement,
-    NotALattice,
-    NotComplemented,
     ParseError,
     PosetError,
     SizeLimitExceeded,
@@ -62,16 +59,6 @@ from .residuation import (
 
 TOOL = "posetkit"
 REPORT_FORMAT = 1
-
-# Checks aborted by these are reported as skipped (or as failures when the
-# property was requested by name).
-_SKIP_ERRORS = (
-    MissingInvolution,
-    MissingBounds,
-    NotComplemented,
-    NotALattice,
-    SizeLimitExceeded,
-)
 
 
 class _UsageError(Exception):
@@ -147,16 +134,6 @@ def _failed_precondition(name: str, exc: Exception, **extra) -> CheckReport:
                        details="precondition failed", extra=extra)
 
 
-def _run_properties(ctx: CheckContext, names: "list[str]"):
-    """Evaluate properties in argument order; a property aborted by a
-    precondition yields its exception in place of a report."""
-    for name in names:
-        try:
-            yield name, PROPERTIES[name](ctx), None
-        except _SKIP_ERRORS as exc:
-            yield name, None, exc
-
-
 def _cmd_check(args) -> int:
     input_id, content, poset = _load_poset_input(args.input)
     if args.property and args.all:
@@ -171,7 +148,8 @@ def _cmd_check(args) -> int:
 
     failures = 0
     mismatches: "list[str]" = []
-    for name, result, exc in _run_properties(ctx, names):
+    # an undecided property is a skip, or a failure when it was requested
+    for name, result, exc in run_properties(ctx, names):
         if result is None:
             if args.property:
                 report.add_report(_failed_precondition(name, exc))
@@ -222,7 +200,7 @@ def _cmd_residuate(args) -> int:
         report.add_report(verdict)
         if not verdict.holds:
             code = 1
-    except (NoRelativePseudocomplement,) + _SKIP_ERRORS as exc:
+    except (NoRelativePseudocomplement,) + PRECONDITION_ERRORS as exc:
         report.add_report(
             _failed_precondition("operator-residuation", exc, kind=args.kind))
         code = 1
@@ -247,7 +225,7 @@ def _cmd_residuate(args) -> int:
             else:
                 report.add("residuate: not left residuated")
                 code = 1
-        except (NoRelativePseudocomplement,) + _SKIP_ERRORS as exc:
+        except (NoRelativePseudocomplement,) + PRECONDITION_ERRORS as exc:
             report.add_report(
                 _failed_precondition("left-residuated-lattice", exc, kind=args.kind))
             report.add("residuate: not left residuated")
@@ -444,6 +422,9 @@ def cli_main(argv: "Sequence[str] | None" = None) -> int:
     except PosetError as exc:
         print(f"{TOOL}: invalid input: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"{TOOL}: internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ the canonical order on completion elements.
 
 from __future__ import annotations
 
-from .errors import SizeLimitExceeded
+from .errors import InternalError, MissingInvolution, SizeLimitExceeded
 from .poset import ElementSet, FinitePoset, LatticeView, bits, is_antitone_involution
 from .report import CheckReport
 
@@ -79,19 +79,21 @@ class DMLattice:
         star = []
         for mask in self.closed:
             image = base.lower_cone(base.inv_image(mask))
-            assert image in self.index, "involution image is not closed"
+            if image not in self.index:
+                raise InternalError("involution image is not closed")
             star.append(self.index[image])
         for k in range(len(self.closed)):
-            assert star[star[k]] == k, "induced involution is not involutive"
+            if star[star[k]] != k:
+                raise InternalError("induced involution is not involutive")
         for i in range(base.n):
-            assert self.closed[star[self.embed[i]]] == base.down[base.inv[i]], \
-                "induced involution does not extend the base involution"
+            if self.closed[star[self.embed[i]]] != base.down[base.inv[i]]:
+                raise InternalError("induced involution does not extend the base involution")
         if len(self.closed) <= 2000:
             up = self._up_rows()
             for i in range(len(self.closed)):
                 for j in bits(up[i]):
                     if not (up[star[j]] >> star[i]) & 1:
-                        raise AssertionError("induced involution is not antitone")
+                        raise InternalError("induced involution is not antitone")
         return tuple(star)
 
     def _up_rows(self) -> tuple[int, ...]:
@@ -174,7 +176,6 @@ def complete(poset: FinitePoset,
 
 def induced_involution(lattice: DMLattice) -> tuple[int, ...]:
     if lattice.inv is None:
-        from .errors import MissingInvolution
         raise MissingInvolution("base poset has no antitone involution")
     return lattice.inv
 

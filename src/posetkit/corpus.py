@@ -14,14 +14,8 @@ from importlib import resources
 from typing import Callable, Iterable
 
 from .build import GreechieDiagram, greechie_to_omp
-from .checks import PROPERTIES, CheckContext, run_check
-from .errors import (
-    CorpusError,
-    MissingBounds,
-    MissingInvolution,
-    NotALattice,
-    NotComplemented,
-)
+from .checks import PROPERTIES, CheckContext, run_properties
+from .errors import CorpusError, InternalError
 from .formats import parse_greechie, parse_poset
 from .poset import FinitePoset, build_poset
 from .report import CheckReport
@@ -331,7 +325,8 @@ _ENTRIES: "dict[str, CorpusEntry]" = {}
 
 
 def _register(name: str, build: Callable[[], FinitePoset], description: str) -> None:
-    assert name not in _ENTRIES
+    if name in _ENTRIES:
+        raise InternalError(f"corpus member {name} registered twice")
     _ENTRIES[name] = CorpusEntry(name, build, description, _EXPECTATIONS[name])
 
 
@@ -387,17 +382,7 @@ def expectations(name: str) -> "dict[str, bool]":
     return dict(get_entry(name).expectations)
 
 
-_PRECONDITION_ERRORS = (
-    MissingInvolution,
-    MissingBounds,
-    NotComplemented,
-    NotALattice,
-)
-
-
-def run_member_checks(
-    name: str, *, max_closed_sets: "int | None" = None
-) -> "list[tuple[str, CheckReport | None, bool | None]]":
+def run_member_checks(name: str) -> "list[tuple[str, CheckReport | None, bool | None]]":
     """Run every registered property against one member.
 
     Returns (property, report, expected) triples in registry order. A None
@@ -405,20 +390,9 @@ def run_member_checks(
     so expected is None there as well.
     """
     entry = get_entry(name)
-    poset = entry.build()
-    if max_closed_sets is None:
-        ctx = CheckContext(poset)
-    else:
-        ctx = CheckContext(poset, max_closed_sets)
-    rows: "list[tuple[str, CheckReport | None, bool | None]]" = []
-    for prop in PROPERTIES:
-        expected = entry.expectations.get(prop)
-        try:
-            report = run_check(prop, poset, ctx)
-        except _PRECONDITION_ERRORS:
-            report = None
-        rows.append((prop, report, expected))
-    return rows
+    ctx = CheckContext(entry.build())
+    return [(prop, report, entry.expectations.get(prop))
+            for prop, report, _ in run_properties(ctx, PROPERTIES)]
 
 
 def verify_member(name: str) -> "list[str]":

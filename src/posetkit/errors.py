@@ -5,6 +5,13 @@ class PosetError(Exception):
     """Base class for structural and input errors raised by this package."""
 
 
+class InternalError(Exception):
+    """An internal invariant failed: a bug in this package, not bad input.
+
+    Deliberately not a PosetError, so no skip or input handler catches it.
+    """
+
+
 class CycleError(PosetError):
     """Transitive closure produced x <= y and y <= x for distinct x, y."""
 

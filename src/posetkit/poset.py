@@ -17,7 +17,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -235,16 +234,6 @@ class FinitePoset:
                 out |= 1 << i
         return out
 
-    def is_orthogonal(self, subset: ElementSet) -> bool:
-        """True iff all distinct members s, t satisfy s <= t'."""
-        inv = self.require_involution()
-        elems = list(bits(subset))
-        for a in elems:
-            for b in elems:
-                if a != b and not (self.up[a] >> inv[b]) & 1:
-                    return False
-        return True
-
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All cover edges (i, j) with j covering i, in id order."""
         out = []
@@ -369,13 +358,7 @@ def is_complementation(poset: FinitePoset) -> CheckReport:
 
 
 def is_lattice(poset: FinitePoset) -> bool:
-    for i in range(poset.n):
-        for j in range(i + 1, poset.n):
-            if poset.min_of(poset.up[i] & poset.up[j]) is None:
-                return False
-            if poset.max_of(poset.down[i] & poset.down[j]) is None:
-                return False
-    return True
+    return lattice_violation(poset) is None
 
 
 def lattice_violation(poset: FinitePoset) -> dict | None:
@@ -389,36 +372,24 @@ def lattice_violation(poset: FinitePoset) -> dict | None:
     return None
 
 
-def is_atomic(poset: FinitePoset) -> bool:
-    bottom, _ = poset.require_bounds()
-    atom_mask = poset.atoms()
-    for i in range(poset.n):
-        if i != bottom and poset.down[i] & atom_mask == 0:
-            return False
-    return True
-
-
-def is_atomistic(poset: FinitePoset) -> bool:
-    """Every element is the join of the atoms below it."""
-    bottom, _ = poset.require_bounds()
-    atom_mask = poset.atoms()
-    for i in range(poset.n):
-        if poset.join_of(poset.down[i] & atom_mask) != i:
-            return False
-    return True
+def _orthogonality_rows(poset: FinitePoset, universe: ElementSet) -> dict[int, ElementSet]:
+    """Row a marks the members b != a of ``universe`` with a <= b' and
+    b <= a'."""
+    inv = poset.require_involution()
+    members = list(bits(universe))
+    rows = {}
+    for a in members:
+        row = 0
+        for b in members:
+            if a != b and (poset.up[a] >> inv[b]) & 1 and (poset.up[b] >> inv[a]) & 1:
+                row |= 1 << b
+        rows[a] = row
+    return rows
 
 
 def orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[ElementSet]:
     """All orthogonal subsets of ``universe``, the empty set included."""
-    inv = poset.require_involution()
-    elems = list(bits(universe))
-    compat = {}
-    for a in elems:
-        row = 0
-        for b in elems:
-            if b > a and (poset.up[a] >> inv[b]) & 1 and (poset.up[b] >> inv[a]) & 1:
-                row |= 1 << b
-        compat[a] = row
+    compat = _orthogonality_rows(poset, universe)
 
     def rec(chosen: int, candidates: int) -> Iterator[int]:
         yield chosen
@@ -427,66 +398,56 @@ def orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[Ele
             low = rest & -rest
             rest ^= low
             a = low.bit_length() - 1
+            # rest holds only bits above a, so each subset comes once
             yield from rec(chosen | low, rest & compat[a])
 
     yield from rec(0, universe)
 
 
-def max_orthogonal_size(poset: FinitePoset) -> int:
-    """Largest orthogonal subset of nonzero elements.
+def maximal_orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[ElementSet]:
+    """The orthogonal subsets of ``universe`` that no other contains: the
+    maximal cliques of the orthogonality graph, by Bron-Kerbosch."""
+    compat = _orthogonality_rows(poset, universe)
 
-    The bottom is orthogonal to everything, so counting it would shift
-    every size by one; sizes are therefore taken over P minus {0}.
-    """
-    bottom, _ = poset.require_bounds()
-    best = 0
-    for subset in orthogonal_subsets(poset, poset.full & ~(1 << bottom)):
-        best = max(best, popcount(subset))
-    return best
+    def expand(chosen: int, candidates: int, excluded: int) -> Iterator[int]:
+        if candidates == 0 and excluded == 0:
+            yield chosen
+            return
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            yield from expand(chosen | low, candidates & compat[v],
+                              excluded & compat[v])
+            candidates ^= low
+            excluded |= low
+            rest ^= low
 
-
-def is_orthocomplete(poset: FinitePoset) -> bool:
-    """Every orthogonal subset has a join."""
-    bottom, _ = poset.require_bounds()
-    for subset in orthogonal_subsets(poset, poset.full & ~(1 << bottom)):
-        if poset.join_of(subset) is None:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class StructuralProfile:
-    atomic: bool
-    atomistic: bool
-    orthocomplete: bool
-    lattice: bool
-    max_orthogonal_size: int
+    yield from expand(0, universe, 0)
 
 
-def structural_profile(poset: FinitePoset) -> StructuralProfile:
-    """Bundle of the basic shape predicates used all over the checkers."""
-    return StructuralProfile(
-        atomic=is_atomic(poset),
-        atomistic=is_atomistic(poset),
-        orthocomplete=is_orthocomplete(poset),
-        lattice=is_lattice(poset),
-        max_orthogonal_size=max_orthogonal_size(poset),
-    )
-
-
-def labeled_equal(left: FinitePoset, right: FinitePoset) -> bool:
-    """Same names, same order, same involution under the name matching."""
-    if set(left.names) != set(right.names) or left.n != right.n:
-        return False
+def labeled_diff(left: FinitePoset, right: FinitePoset) -> dict | None:
+    """First difference in names, order or involution under the name
+    matching, as a witness; None when the two posets are equal."""
+    only_left = set(left.names) - set(right.names)
+    only_right = set(right.names) - set(left.names)
+    if only_left or only_right:
+        return {"only-left": tuple(sorted(only_left)),
+                "only-right": tuple(sorted(only_right))}
     to_right = [right.id_of(name) for name in left.names]
     for i in range(left.n):
         for j in range(left.n):
             if left.leq(i, j) != right.leq(to_right[i], to_right[j]):
-                return False
+                return {"x": left.names[i], "y": left.names[j], "reason": "order"}
     if (left.inv is None) != (right.inv is None):
-        return False
+        return {"reason": "involution present on one side only"}
     if left.inv is not None:
         for i in range(left.n):
             if to_right[left.inv[i]] != right.inv[to_right[i]]:
-                return False
-    return True
+                return {"x": left.names[i], "reason": "involution"}
+    return None
+
+
+def labeled_equal(left: FinitePoset, right: FinitePoset) -> bool:
+    """Same names, same order, same involution under the name matching."""
+    return labeled_diff(left, right) is None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InternalError
+
 # A witness maps a role name ("x", "pair", "subset", ...) to an element name
 # or a tuple of element names.
 Witness = dict[str, "str | tuple[str, ...]"]
@@ -19,7 +21,8 @@ class CheckReport:
 
     def __post_init__(self):
         # Failed checks must always carry a concrete counterexample.
-        assert self.holds or self.witness is not None, f"failed check {self.name} lacks witness"
+        if not self.holds and self.witness is None:
+            raise InternalError(f"failed check {self.name} lacks witness")
 
     def line(self) -> str:
         """Render one deterministic report line."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import DMLattice
-from .errors import NoRelativePseudocomplement
+from .errors import InternalError, NoRelativePseudocomplement
 from .poset import ElementSet, FinitePoset, bits
 from .report import CheckReport
 
@@ -125,7 +125,7 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     """Lift the relative pseudocomplement to closed sets:
     X * Y = intersection of L(a*b) over a in X, b in U(Y).
 
-    Asserts that the lift really is relative pseudocomplementation on
+    Checks that the lift really is relative pseudocomplementation on
     the completion and that it extends the base operation along the
     embedding.
     """
@@ -144,16 +144,15 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     for i in range(m):
         for j in range(m):
             best = closed[table[i][j]]
-            assert best & closed[i] & ~closed[j] == 0, \
-                "lifted star must satisfy (X*Y) ^ X <= Y"
+            if best & closed[i] & ~closed[j]:
+                raise InternalError("lifted star must satisfy (X*Y) ^ X <= Y")
             for k in range(m):
-                if closed[k] & closed[i] & ~closed[j] == 0:
-                    assert closed[k] & ~best == 0, \
-                        "lifted star must be the greatest such closed set"
+                if closed[k] & closed[i] & ~closed[j] == 0 and closed[k] & ~best:
+                    raise InternalError("lifted star must be the greatest such closed set")
     for x in range(poset.n):
         for y in range(poset.n):
-            assert table[lattice.embed[x]][lattice.embed[y]] == lattice.embed[star[x][y]], \
-                "lifted star must extend the base operation"
+            if table[lattice.embed[x]][lattice.embed[y]] != lattice.embed[star[x][y]]:
+                raise InternalError("lifted star must extend the base operation")
     return table
 
 

@@ -1,8 +1,16 @@
 """End-to-end runs of the command line interface via cli_main."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import posetkit
 from posetkit import (
+    InternalError,
+    checks,
     labeled_equal,
     parse_poset,
     parse_poset_document,
@@ -81,6 +89,55 @@ def test_check_respects_completion_cap(capsys):
                        "--max-closed-sets", "10")
     assert code == 1
     assert "precondition failed" in out
+
+
+def test_hit_cap_is_computed_once_per_check(capsys, monkeypatch):
+    calls = []
+    real = checks.complete
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "complete", counting)
+    code, out, _ = run(capsys, "check", "ba16", "--max-closed-sets", "10")
+    assert code == 1
+    assert len(calls) == 1
+    skips = [line for line in out.splitlines() if line.startswith("skip:")]
+    assert skips == [
+        f"skip: {name} - more than 10 closed sets; raise max_closed_sets"
+        for name in ("strongly-d-continuous", "finch", "completion-orthomodular",
+                     "completion-distributive", "completion-modular")]
+
+
+# Breaks the dual distributivity form, so the two forms disagree on mo2.
+_BREAK_DISTRIBUTIVITY = """
+from posetkit import checks
+real = checks._distributive_violation
+checks._distributive_violation = lambda poset, dual: None if dual else real(poset, dual)
+"""
+
+
+def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
+    real = checks._distributive_violation
+    monkeypatch.setattr(checks, "_distributive_violation",
+                        lambda poset, dual: None if dual else real(poset, dual))
+    with pytest.raises(InternalError, match="distributivity identities must agree"):
+        checks.is_distributive_poset(load("mo2"))
+    code, out, err = run(capsys, "check", "mo2", "--property", "distributive")
+    assert (code, out) == (4, "")
+    assert err == ("posetkit: internal error: "
+                   "the two distributivity identities must agree\n")
+    # the same breakage with asserts stripped out
+    src = str(Path(posetkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = _BREAK_DISTRIBUTIVITY + (
+        "from posetkit.cli import cli_main\n"
+        "raise SystemExit(cli_main(['check', 'mo2', '--property', 'distributive']))\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert "internal error: the two distributivity" in done.stderr
 
 
 def test_check_usage_errors(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from posetkit import corpus
+from posetkit.completion import complete
 from posetkit.errors import (
     CycleError,
     MissingBounds,
@@ -17,9 +18,8 @@ from posetkit.poset import (
     is_lattice,
     labeled_equal,
     lattice_violation,
-    max_orthogonal_size,
+    maximal_orthogonal_subsets,
     orthogonal_subsets,
-    structural_profile,
 )
 
 
@@ -151,23 +151,38 @@ def test_join_meet_of_masks():
     assert fig1b.meet_of(fig1b.mask([])) == fig1b.top
 
 
+def _largest_orthogonal_size(poset):
+    """Over P minus {0}: the bottom is orthogonal to everything."""
+    nonzero = poset.full & ~(1 << poset.bottom)
+    return max(subset.bit_count() for subset in orthogonal_subsets(poset, nonzero))
+
+
 def test_orthogonal_subsets_of_mo2():
     mo2 = corpus.load("mo2")
     nonzero = mo2.full & ~mo2.mask("0")
     found = sorted(orthogonal_subsets(mo2, nonzero))
     assert len(found) == 8  # empty, five singletons, two complement pairs
-    assert max_orthogonal_size(mo2) == 2
-    assert max_orthogonal_size(corpus.load("ba8")) == 3
+    assert _largest_orthogonal_size(mo2) == 2
+    assert _largest_orthogonal_size(corpus.load("ba8")) == 3
+    # all four atoms of fig1a are pairwise orthogonal: every coatom x'
+    # lies above the three atoms other than x
+    assert _largest_orthogonal_size(corpus.load("fig1a")) == 4
 
 
-def test_structural_profile_of_fig1a():
-    profile = structural_profile(corpus.load("fig1a"))
-    assert profile.atomic and profile.atomistic
-    assert not profile.lattice
-    assert not profile.orthocomplete
-    # all four atoms are pairwise orthogonal: every coatom x' lies above
-    # the three atoms other than x
-    assert profile.max_orthogonal_size == 4
+def test_maximal_orthogonal_subsets_match_filtered_enumeration():
+    """The maximal-set search against the subset-maximal members of the
+    full enumeration, on every member with an involution and on each
+    closed set of its completion."""
+    for name in corpus.member_names():
+        poset = corpus.load(name)
+        if poset.inv is None:
+            continue
+        for universe in complete(poset).closed:
+            every = set(orthogonal_subsets(poset, universe))
+            maximal = sorted(s for s in every
+                             if not any(s != t and s & ~t == 0 for t in every))
+            found = list(maximal_orthogonal_subsets(poset, universe))
+            assert sorted(found) == maximal, (name, poset.names_of(universe))
 
 
 def test_labeled_equal_detects_renames():
