@@ -404,35 +404,62 @@ def _labeled_middle_posets(k: int) -> Iterator[list[int]]:
     yield from extend([], 0)
 
 
-def _involutive_middle_maps(strict: list[int]) -> Iterator[dict[int, int]]:
-    """Order-reversing involutions of the strict middle order, fixed
-    points allowed."""
-    k = len(strict)
+def _involutive_middle_maps(strict: list[int],
+                            complemented: bool = False) -> Iterator[tuple[int, ...]]:
+    """Order-reversing involutions of the strict middle order, as tuples
+    with ``sigma[i]`` the image of i.
 
-    def antitone(sigma: dict[int, int]) -> bool:
-        for i in range(k):
-            for j in bits(strict[i]):
-                if not (strict[sigma[j]] >> sigma[i]) & 1:
-                    return False
+    The lowest unmatched point is paired first with itself, then with
+    each higher unmatched point in turn, and every assignment is checked
+    against the points already assigned, so a branch ends at its first
+    antitone violation.  With ``complemented`` only complementations are
+    kept: no fixed points, and no point comparable to its image.  A pair
+    with a common middle lower or upper bound is dropped as soon as it is
+    formed, since that bound would end up comparable to its own image.
+    """
+    k = len(strict)
+    below = [0] * k
+    for i in range(k):
+        for j in bits(strict[i]):
+            below[j] |= 1 << i
+    sigma = list(range(k))
+
+    def fits(x: int, assigned: int) -> bool:
+        image = sigma[x]
+        for y in bits(strict[x] & assigned):
+            if not (strict[sigma[y]] >> image) & 1:
+                return False
+        for y in bits(below[x] & assigned):
+            if not (strict[image] >> sigma[y]) & 1:
+                return False
         return True
 
-    def pairings(remaining: tuple[int, ...]) -> Iterator[dict[int, int]]:
-        if not remaining:
-            yield {}
+    def extend(free: int) -> Iterator[tuple[int, ...]]:
+        if not free:
+            yield tuple(sigma)
             return
-        head, rest = remaining[0], remaining[1:]
-        for sub in pairings(rest):
-            yield {head: head, **sub}
-        for pos, partner in enumerate(rest):
-            for sub in pairings(rest[:pos] + rest[pos + 1:]):
-                yield {head: partner, partner: head, **sub}
+        head = (free & -free).bit_length() - 1
+        rest = free & (free - 1)
+        assigned = ((1 << k) - 1) & ~rest
+        if complemented:
+            partners = rest & ~(strict[head] | below[head])
+        else:
+            partners = rest
+            sigma[head] = head
+            if fits(head, assigned):
+                yield from extend(rest)
+        for partner in bits(partners):
+            if complemented and (below[head] & below[partner] or strict[head] & strict[partner]):
+                continue
+            sigma[head], sigma[partner] = partner, head
+            both = assigned | (1 << partner)
+            if fits(head, both) and fits(partner, both):
+                yield from extend(rest & ~(1 << partner))
 
-    for sigma in pairings(tuple(range(k))):
-        if antitone(sigma):
-            yield sigma
+    yield from extend((1 << k) - 1)
 
 
-def _assemble(strict: list[int], sigma: dict[int, int]) -> FinitePoset:
+def _assemble(strict: list[int], sigma: Sequence[int]) -> FinitePoset:
     k = len(strict)
     letters = "abcdefghij"
     names = ("0",) + tuple(letters[i] for i in range(k)) + ("1",)
@@ -490,7 +517,7 @@ def _passes(poset: FinitePoset, constraint: str) -> bool:
 def _random_structure(rng: random.Random, size: int, constraint: str) -> FinitePoset:
     k = size - 2
     if k == 0:
-        return _assemble([], {})
+        return _assemble([], [])
     if constraint in ("complemented", "pseudo_om"):
         # half order plus its dual: complemented for every draw, with
         # symmetric cross relations sprinkled in when they survive the
@@ -505,8 +532,7 @@ def _random_structure(rng: random.Random, size: int, constraint: str) -> FiniteP
                 for j in range(half):
                     if (strict[j] >> i) & 1:
                         rows[half + i] |= 1 << (half + j)
-            sigma = {i: half + i for i in range(half)}
-            sigma.update({half + i: i for i in range(half)})
+            sigma = [half + i for i in range(half)] + list(range(half))
             if rng.random() < 0.5 and half > 1:
                 x, y = rng.sample(range(half), 2)
                 rows[x] |= 1 << (half + y)
@@ -519,7 +545,7 @@ def _random_structure(rng: random.Random, size: int, constraint: str) -> FiniteP
             if _passes(candidate, constraint):
                 return candidate
         # the MO-style antichain satisfies both orthogonality constraints
-        fallback = _assemble([0] * k, {i: (i + half) % k for i in range(k)})
+        fallback = _assemble([0] * k, [(i + half) % k for i in range(k)])
         if not _passes(fallback, constraint):
             raise InternalError(f"the antichain fallback fails {constraint!r}")
         return fallback
@@ -528,7 +554,7 @@ def _random_structure(rng: random.Random, size: int, constraint: str) -> FiniteP
         sigmas = list(itertools.islice(_involutive_middle_maps(strict), 400))
         if sigmas:
             return _assemble(strict, rng.choice(sigmas))
-    return _assemble([0] * k, {i: i for i in range(k)})
+    return _assemble([0] * k, list(range(k)))
 
 
 def _random_strict_order(rng: random.Random, k: int) -> list[int]:
@@ -551,8 +577,11 @@ def generate_small(n: int, constraint: str = "any", *,
     Exhaustive mode streams every structure up to isomorphism (sizes
     2..n, canonical-form deduplication); random mode is an endless
     seed-deterministic stream.  ``constraint`` filters by checker:
-    "complemented" or "pseudo_om" or "any".  The arguments are checked
-    when the stream is made, before it yields anything.
+    "complemented" or "pseudo_om" or "any".  The "complemented" and
+    "pseudo_om" streams hold even sizes only: a complementation has no
+    fixed point (x' = x would give x ^ x' = x, not 0), so it pairs the
+    middle elements off.  The arguments are checked when the stream is
+    made, before it yields anything.
     """
     if constraint not in ("any", "complemented", "pseudo_om"):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -569,10 +598,14 @@ def generate_small(n: int, constraint: str = "any", *,
     return _random(n, constraint, seed)
 
 
+def _sizes(n: int, constraint: str) -> list[int]:
+    """Sizes 2..n, even ones only when a complementation is required."""
+    return [m for m in range(2, n + 1) if constraint == "any" or m % 2 == 0]
+
+
 def _random(n: int, constraint: str, seed: int) -> Iterator[FinitePoset]:
     rng = random.Random(seed)
-    even_only = constraint in ("complemented", "pseudo_om")
-    sizes = [m for m in range(2, n + 1) if not (even_only and m % 2)]
+    sizes = _sizes(n, constraint)
     if not sizes:
         return
     while True:
@@ -581,9 +614,9 @@ def _random(n: int, constraint: str, seed: int) -> Iterator[FinitePoset]:
 
 def _exhaustive(n: int, constraint: str) -> Iterator[FinitePoset]:
     seen = set()
-    for size in range(2, n + 1):
+    for size in _sizes(n, constraint):
         for strict in _labeled_middle_posets(size - 2):
-            for sigma in _involutive_middle_maps(strict):
+            for sigma in _involutive_middle_maps(strict, constraint != "any"):
                 candidate = _assemble(strict, sigma)
                 signature = _canonical_signature(candidate)
                 if signature in seen:

@@ -71,7 +71,7 @@ class FinitePoset:
     """
 
     __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids",
-                 "_view")
+                 "_view", "_antitone", "_complementation")
 
     def __init__(self, names: tuple[str, ...], up: tuple[int, ...],
                  inv: tuple[int, ...] | None = None):
@@ -110,6 +110,8 @@ class FinitePoset:
         self.top = tops[0] if tops else None
         self._ids = {name: i for i, name in enumerate(names)}
         self._view = None
+        self._antitone = None
+        self._complementation = None
 
     # -- element and subset helpers -------------------------------------
 
@@ -321,7 +323,14 @@ def build_poset(names: Iterable[object], relation: Iterable[tuple[object, object
 
 
 def is_antitone_involution(poset: FinitePoset) -> CheckReport:
-    """Check x'' = x and that the involution reverses the order."""
+    """Check x'' = x and that the involution reverses the order.  The
+    report is computed once per poset and kept on it."""
+    if poset._antitone is None:
+        poset._antitone = _antitone_report(poset)
+    return poset._antitone
+
+
+def _antitone_report(poset: FinitePoset) -> CheckReport:
     inv = poset.require_involution()
     for i in range(poset.n):
         if inv[inv[i]] != i:
@@ -338,7 +347,14 @@ def is_antitone_involution(poset: FinitePoset) -> CheckReport:
 
 
 def is_complementation(poset: FinitePoset) -> CheckReport:
-    """Antitone involution with L(x,x') = {0} and U(x,x') = {1}."""
+    """Antitone involution with L(x,x') = {0} and U(x,x') = {1}.  The
+    report is computed once per poset and kept on it."""
+    if poset._complementation is None:
+        poset._complementation = _complementation_report(poset)
+    return poset._complementation
+
+
+def _complementation_report(poset: FinitePoset) -> CheckReport:
     bottom, top = poset.require_bounds()
     inv = poset.require_involution()
     base = is_antitone_involution(poset)

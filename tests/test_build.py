@@ -1,12 +1,18 @@
 """Horizontal sums, block-diagram pasting, and the small-poset generator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetkit import corpus
 from posetkit.build import (
     EXHAUSTIVE_SIZE_CAP,
     GreechieDiagram,
     RANDOM_SIZE_CAP,
+    _assemble,
+    _canonical_signature,
+    _involutive_middle_maps,
+    _labeled_middle_posets,
+    _passes,
     dm_hsum_isomorphism,
     generate_small,
     greechie_to_omp,
@@ -30,7 +36,14 @@ from posetkit.errors import (
     UnboundedPart,
 )
 from posetkit.formats import serialize_poset
-from posetkit.poset import build_poset, is_lattice, labeled_equal
+from posetkit.poset import (
+    _transitive_closure,
+    bits,
+    build_poset,
+    is_complementation,
+    is_lattice,
+    labeled_equal,
+)
 
 
 def test_hsum_of_a_single_part_is_the_part():
@@ -209,3 +222,99 @@ def test_generation_guards():
         next(generate_small(EXHAUSTIVE_SIZE_CAP + 1, "any", exhaustive=True))
     with pytest.raises(SizeLimitExceeded):
         next(generate_small(RANDOM_SIZE_CAP + 1, "any", seed=1))
+
+
+# -- the exhaustive generator against the enumerator it replaced ----------
+
+
+def oracle_middle_maps(strict):
+    """Every pairing of the middle points, fixed points allowed, each
+    kept when it reverses the order: the enumerator that built and
+    filtered a dict per pairing."""
+    k = len(strict)
+
+    def antitone(sigma):
+        for i in range(k):
+            for j in bits(strict[i]):
+                if not (strict[sigma[j]] >> sigma[i]) & 1:
+                    return False
+        return True
+
+    def pairings(remaining):
+        if not remaining:
+            yield {}
+            return
+        head, rest = remaining[0], remaining[1:]
+        for sub in pairings(rest):
+            yield {head: head, **sub}
+        for pos, partner in enumerate(rest):
+            for sub in pairings(rest[:pos] + rest[pos + 1:]):
+                yield {head: partner, partner: head, **sub}
+
+    for sigma in pairings(tuple(range(k))):
+        if antitone(sigma):
+            yield tuple(sigma[i] for i in range(k))
+
+
+def oracle_complementations(strict):
+    return [sigma for sigma in oracle_middle_maps(strict)
+            if is_complementation(_assemble(strict, sigma)).holds]
+
+
+def oracle_candidates(n):
+    """The exhaustive stream before filtering: every size 2..n, every
+    labeled order, every antitone involution, first of each class."""
+    seen = set()
+    for size in range(2, n + 1):
+        for strict in _labeled_middle_posets(size - 2):
+            for sigma in oracle_middle_maps(strict):
+                candidate = _assemble(strict, sigma)
+                signature = _canonical_signature(candidate)
+                if signature not in seen:
+                    seen.add(signature)
+                    yield candidate
+
+
+def _labeled(posets):
+    return [(p.names, p.up, p.inv) for p in posets]
+
+
+@pytest.fixture(scope="module")
+def oracle_up_to_seven():
+    return list(oracle_candidates(7))
+
+
+@pytest.mark.parametrize("constraint", ["any", "complemented", "pseudo_om"])
+def test_exhaustive_stream_matches_the_pairing_oracle(oracle_up_to_seven, constraint):
+    for n in range(2, 8):
+        expected = [p for p in oracle_up_to_seven if p.n <= n and _passes(p, constraint)]
+        assert _labeled(generate_small(n, constraint, exhaustive=True)) == _labeled(expected)
+
+
+def test_odd_sizes_add_no_complemented_poset():
+    assert (_labeled(generate_small(6, "complemented", exhaustive=True))
+            == _labeled(generate_small(7, "complemented", exhaustive=True)))
+
+
+@st.composite
+def strict_orders(draw, max_points=6):
+    """A labeled strict order as rows of strict up-sets: random edges
+    between the points of a random linear extension, closed."""
+    k = draw(st.integers(0, max_points))
+    order = draw(st.permutations(range(k)))
+    rows = [1 << i for i in range(k)]
+    if k > 1:
+        point = st.integers(0, k - 1)
+        for a, b in draw(st.lists(st.tuples(point, point), max_size=2 * k)):
+            if a < b:
+                rows[order[a]] |= 1 << order[b]
+    rows = _transitive_closure(rows)
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(strict_orders())
+def test_involutive_middle_maps_match_the_pairing_oracle(strict):
+    assert list(_involutive_middle_maps(strict)) == list(oracle_middle_maps(strict))
+    assert list(_involutive_middle_maps(strict, complemented=True)) == \
+        oracle_complementations(strict)

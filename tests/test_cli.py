@@ -16,6 +16,7 @@ from posetkit import (
     parse_poset_document,
     serialize_poset,
 )
+from posetkit import poset as poset_module
 from posetkit.cli import cli_main
 from posetkit.corpus import boolean_algebra, load
 
@@ -108,6 +109,26 @@ def test_hit_cap_is_computed_once_per_check(capsys, monkeypatch):
         f"skip: {name} - more than 10 closed sets; raise max_closed_sets"
         for name in ("strongly-d-continuous", "finch", "completion-orthomodular",
                      "completion-distributive", "completion-modular")]
+
+
+def test_complementation_is_computed_once_per_check(capsys, monkeypatch):
+    real = {name: getattr(poset_module, name)
+            for name in ("_antitone_report", "_complementation_report")}
+    computed = {name: [] for name in real}
+    for name in real:
+        def counting(poset, name=name):
+            computed[name].append(poset)
+            return real[name](poset)
+        monkeypatch.setattr(poset_module, name, counting)
+    code, out, _ = run(capsys, "check", "fig3")
+    assert code == 0 and "check: complementation pass" in out
+    # loading fig3 checks its orthomodularity, which computes both
+    # reports; every property and the completion reuse them
+    assert len(computed["_complementation_report"]) == 1
+    assert computed["_antitone_report"] == computed["_complementation_report"]
+    fig3 = computed["_complementation_report"][0]
+    assert poset_module.is_complementation(fig3) == real["_complementation_report"](fig3)
+    assert poset_module.is_antitone_involution(fig3) == real["_antitone_report"](fig3)
 
 
 # Breaks the dual distributivity form, so the two forms disagree on mo2.
