@@ -28,7 +28,6 @@ from .poset import (
     is_complementation,
     is_lattice,
     labeled_diff,
-    popcount,
 )
 from .report import CheckReport
 
@@ -116,7 +115,7 @@ def _block_masks(diagram: GreechieDiagram) -> list[int] | None:
             if a not in ids:
                 return None
             mask |= 1 << ids[a]
-        if popcount(mask) != len(block):
+        if mask.bit_count() != len(block):
             return None
         masks.append(mask)
     return masks
@@ -184,19 +183,19 @@ def validate_greechie(diagram: GreechieDiagram) -> CheckReport:
                            details="every atom must belong to a block")
     if len(diagram.atoms) >= 2:
         for bi, mask in enumerate(masks):
-            if popcount(mask) < 2:
+            if mask.bit_count() < 2:
                 return CheckReport(name, False,
                                    witness={"block": " ".join(diagram.blocks[bi])},
                                    details="blocks must have at least 2 atoms")
     for bi, mask in enumerate(masks):
         touches = any(mask & other for oi, other in enumerate(masks) if oi != bi)
-        if touches and popcount(mask) < 3:
+        if touches and mask.bit_count() < 3:
             return CheckReport(name, False,
                                witness={"block": " ".join(diagram.blocks[bi])},
                                details="intersecting blocks must have at least 3 atoms")
     for bi, mask in enumerate(masks):
         for oi in range(bi + 1, len(masks)):
-            if popcount(mask & masks[oi]) > 1:
+            if (mask & masks[oi]).bit_count() > 1:
                 return CheckReport(name, False,
                                    witness={"blocks": (" ".join(diagram.blocks[bi]),
                                                        " ".join(diagram.blocks[oi]))},
@@ -266,11 +265,11 @@ def greechie_to_omp(diagram: GreechieDiagram) -> FinitePoset:
         if any(sub == masks[bi] for bi, sub in nodes_of):
             return "1"
         for bi, sub in nodes_of:
-            if popcount(sub) == 1:
+            if sub.bit_count() == 1:
                 return diagram.atoms[next(bits(sub))]
         for bi, sub in nodes_of:
             rest = masks[bi] & ~sub
-            if popcount(rest) == 1:
+            if rest.bit_count() == 1:
                 return diagram.atoms[next(bits(rest))] + "'"
         best = min(tuple(sorted(diagram.atoms[i] for i in bits(sub)))
                    for _, sub in nodes_of)
@@ -282,7 +281,7 @@ def greechie_to_omp(diagram: GreechieDiagram) -> FinitePoset:
             return (-1, 0, 0)
         if cname == "1":
             return (len(diagram.atoms) + 1, 0, 0)
-        return min((popcount(sub), bi, sub) for bi, sub in nodes_of)
+        return min((sub.bit_count(), bi, sub) for bi, sub in nodes_of)
 
     members.sort(key=sort_key)
     index = {node: k for k, grp in enumerate(members) for node in grp}
@@ -485,8 +484,8 @@ def _canonical_signature(poset: FinitePoset) -> tuple:
     middles = [i for i in range(poset.n) if i not in (bottom, top)]
 
     def invariant(i: int):
-        return (popcount(poset.down[i]), popcount(poset.up[i]),
-                popcount(poset.down[inv[i]]), inv[i] == i)
+        return (poset.down[i].bit_count(), poset.up[i].bit_count(),
+                poset.down[inv[i]].bit_count(), inv[i] == i)
 
     middles.sort(key=lambda i: (invariant(i), i))
     groups = [list(g) for _, g in itertools.groupby(middles, key=invariant)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator
 
-from .completion import DMLattice, closure, complete, DEFAULT_MAX_CLOSED_SETS
+from .completion import DMLattice, complete, DEFAULT_MAX_CLOSED_SETS
 from .errors import (
     InternalError,
     MissingBounds,
@@ -40,21 +40,17 @@ from .report import CheckReport
 
 
 def _distributive_violation(poset: FinitePoset, dual: bool) -> tuple | None:
+    """First (x, y, z) with L(U(x,y),z) != LU(L(x,z),L(y,z)), or None;
+    the dual form swaps the lower and upper cones."""
     n = poset.n
-    lo, up = poset.lower_cone, poset.upper_cone
+    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
+              else (poset.upper_cone, poset.lower_cone))
     for x in range(n):
         for y in range(n):
-            pair = (1 << x) | (1 << y)
-            outer = up(pair) if not dual else lo(pair)
+            outer = up((1 << x) | (1 << y))
             for z in range(n):
                 zbit = 1 << z
-                if not dual:
-                    lhs = lo(outer | zbit)
-                    rhs = lo(up(lo((1 << x) | zbit) | lo((1 << y) | zbit)))
-                else:
-                    lhs = up(outer | zbit)
-                    rhs = up(lo(up((1 << x) | zbit) | up((1 << y) | zbit)))
-                if lhs != rhs:
+                if lo(outer | zbit) != lo(up(lo((1 << x) | zbit) | lo((1 << y) | zbit))):
                     return (x, y, z)
     return None
 
@@ -142,11 +138,9 @@ def is_orthomodular_poset(poset: FinitePoset) -> CheckReport:
                 return CheckReport("orthomodular-poset", False,
                                    witness={"x": names[x], "y": names[y]},
                                    details="orthogonal pair without a join")
-            steps = []
             j = join2(inv[x], inv[y])
             if j is not None:
                 meet_xy = inv[j]
-                steps.append(meet_xy)
                 j = join2(meet_xy, inv[y])
                 if j is not None:
                     outer = join2(inv[j], inv[y])
@@ -237,19 +231,16 @@ def is_modular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
 
 
 def _pseudo_om_violation(poset: FinitePoset, dual: bool) -> tuple | None:
+    """First (x, y) with L(U(L(x,y),y'),y) != L(x,y), or None; the dual
+    form swaps the lower and upper cones."""
     inv = poset.inv
-    lo, up = poset.lower_cone, poset.upper_cone
+    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
+              else (poset.upper_cone, poset.lower_cone))
     for x in range(poset.n):
         for y in range(poset.n):
-            pair = (1 << x) | (1 << y)
-            ybit = 1 << y
-            prime = 1 << inv[y]
-            if not dual:
-                if lo(up(lo(pair) | prime) | ybit) != lo(pair):
-                    return (x, y)
-            else:
-                if up(lo(up(pair) | prime) | ybit) != up(pair):
-                    return (x, y)
+            below = lo((1 << x) | (1 << y))
+            if lo(up(below | (1 << inv[y])) | (1 << y)) != below:
+                return (x, y)
     return None
 
 
@@ -274,8 +265,7 @@ def is_pseudo_orthomodular(poset: FinitePoset) -> CheckReport:
 
 
 def is_strongly_d_continuous(poset: FinitePoset,
-                             lattice: DMLattice | None = None,
-                             max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS) -> CheckReport:
+                             lattice: DMLattice | None = None) -> CheckReport:
     """For every B <= C: the elements of C together with the involution
     images of B meet only in 0 exactly when every lower bound of C is
     below every upper bound of B.
@@ -290,7 +280,7 @@ def is_strongly_d_continuous(poset: FinitePoset,
     if not comp.holds:
         raise NotComplemented(f"strong D-continuity needs a complementation ({comp.details})")
     if lattice is None:
-        lattice = complete(poset, max_closed_sets)
+        lattice = complete(poset)
     bottom_mask = 1 << poset.bottom
     upper_images = [poset.inv_image(poset.upper_cone(mask)) for mask in lattice.closed]
     for i, x_mask in enumerate(lattice.closed):
@@ -340,9 +330,7 @@ def naive_strongly_d_continuous(poset: FinitePoset) -> CheckReport:
 # -- completion orthomodularity through maximal orthogonal sets ----------
 
 
-def finch_criterion(poset: FinitePoset,
-                    lattice: DMLattice | None = None,
-                    max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS) -> CheckReport:
+def finch_criterion(poset: FinitePoset, lattice: DMLattice | None = None) -> CheckReport:
     """Every maximal orthogonal subset of a closed set generates it.
 
     Equivalent to the completion being an orthomodular lattice; the
@@ -352,13 +340,13 @@ def finch_criterion(poset: FinitePoset,
     if not comp.holds:
         raise NotComplemented(f"the criterion needs a complementation ({comp.details})")
     if lattice is None:
-        lattice = complete(poset, max_closed_sets)
-    zero_closed = closure(poset, 0)
+        lattice = complete(poset)
+    zero_closed = poset.closure(0)
     for mask in lattice.closed:
         if mask == zero_closed:
             continue
         for subset in maximal_orthogonal_subsets(poset, mask):
-            if closure(poset, subset) != mask:
+            if poset.closure(subset) != mask:
                 return CheckReport(
                     "finch", False,
                     witness={"closed-set": poset.names_of(mask),
@@ -373,9 +361,7 @@ def finch_criterion(poset: FinitePoset,
 def is_complement_closed_doubly_dense(lattice: FinitePoset, subset: ElementSet) -> CheckReport:
     """subset contains the bounds, is involution closed, and every
     lattice element is both a join and a meet of subset elements."""
-    bad = lattice_violation(lattice)
-    if bad is not None:
-        raise NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
+    lattice.view  # raises NotALattice naming the first pair without a join or meet
     comp = is_complementation(lattice)
     if not comp.holds:
         raise NotComplemented("doubly dense subsets live in complemented lattices")
@@ -514,13 +500,11 @@ PROPERTIES = {
 }
 
 
-def run_check(name: str, poset: FinitePoset, ctx: CheckContext | None = None,
+def run_check(name: str, poset: FinitePoset,
               max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS) -> CheckReport:
     if name not in PROPERTIES:
         raise KeyError(f"unknown property {name!r}")
-    if ctx is None:
-        ctx = CheckContext(poset, max_closed_sets)
-    return PROPERTIES[name](ctx)
+    return PROPERTIES[name](CheckContext(poset, max_closed_sets))
 
 
 # Errors that leave a property undecided rather than failed: the input

@@ -314,8 +314,8 @@ def _cmd_corpus(args) -> int:
 def _cmd_export(args) -> int:
     input_id, _, poset = _load_poset_input(args.input)
     if args.completion:
-        target = complete(poset, args.max_closed_sets)
-        note = f"export: completion of {input_id}, {len(target)} nodes"
+        target = complete(poset, args.max_closed_sets).as_poset()
+        note = f"export: completion of {input_id}, {target.n} nodes"
     else:
         target = poset
         note = f"export: {input_id}, {poset.n} nodes"

@@ -11,16 +11,11 @@ the canonical order on completion elements.
 
 from __future__ import annotations
 
-from .errors import InternalError, MissingInvolution, SizeLimitExceeded
-from .poset import ElementSet, FinitePoset, LatticeView, bits, is_antitone_involution
+from .errors import InternalError, SizeLimitExceeded
+from .poset import FinitePoset, LatticeView, bits, is_antitone_involution
 from .report import CheckReport
 
 DEFAULT_MAX_CLOSED_SETS = 100_000
-
-
-def closure(poset: FinitePoset, subset: ElementSet) -> ElementSet:
-    """L(U(subset)); extensive, monotone and idempotent."""
-    return poset.closure(subset)
 
 
 class DMLattice:
@@ -34,45 +29,19 @@ class DMLattice:
         self.closed = tuple(closed)
         self.index = {mask: k for k, mask in enumerate(closed)}
         self.embed = tuple(self.index[base.down[i]] for i in range(base.n))
-        self.bottom = self.index[closure(base, 0)]
+        self.bottom = self.index[base.closure(0)]
         self.top = self.index[base.full]
         self.inv = None
         self._up = None
         self._poset = None
         self._view = None
         if base.inv is not None and is_antitone_involution(base).holds:
-            self.inv = self._induced_involution()
+            self.inv = self._lifted_involution()
 
     def __len__(self):
         return len(self.closed)
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.closed[i] & ~self.closed[j] == 0
-
-    def meet(self, i: int, j: int) -> int:
-        return self.index[self.closed[i] & self.closed[j]]
-
-    def join(self, i: int, j: int) -> int:
-        """De Morgan through the induced involution when there is one,
-        the closure of the union otherwise."""
-        if self.inv is not None:
-            inv = self.inv
-            return inv[self.meet(inv[i], inv[j])]
-        return self.index[closure(self.base, self.closed[i] | self.closed[j])]
-
-    def meet_all(self, indices) -> int:
-        mask = self.base.full
-        for k in indices:
-            mask &= self.closed[k]
-        return self.index[mask]
-
-    def join_all(self, indices) -> int:
-        mask = 0
-        for k in indices:
-            mask |= self.closed[k]
-        return self.index[closure(self.base, mask)]
-
-    def _induced_involution(self) -> tuple[int, ...]:
+    def _lifted_involution(self) -> tuple[int, ...]:
         """X -> L(X'-image), checked to be an involutive antitone
         extension of the base involution before it is trusted."""
         base = self.base
@@ -116,7 +85,8 @@ class DMLattice:
     @property
     def view(self) -> LatticeView:
         """Join and meet tables, built on first use: meet is intersection,
-        join goes through :meth:`join`."""
+        join is De Morgan through the induced involution when there is
+        one, the closure of the union otherwise."""
         if self._view is None:
             index, closed = self.index, self.closed
             meet = [[index[x & y] for y in closed] for x in closed]
@@ -125,8 +95,8 @@ class DMLattice:
                 join = [[inv[meet[inv[i]][inv[j]]] for j in range(len(closed))]
                         for i in range(len(closed))]
             else:
-                join = [[self.join(i, j) for j in range(len(closed))]
-                        for i in range(len(closed))]
+                base = self.base
+                join = [[index[base.closure(x | y)] for y in closed] for x in closed]
             self._view = LatticeView(join, meet, self.name_of)
         return self._view
 
@@ -174,17 +144,11 @@ def complete(poset: FinitePoset,
     return DMLattice(poset, sorted(family, key=lambda mask: format(mask, width)[::-1]))
 
 
-def induced_involution(lattice: DMLattice) -> tuple[int, ...]:
-    if lattice.inv is None:
-        raise MissingInvolution("base poset has no antitone involution")
-    return lattice.inv
-
-
 def check_join_meet_density(poset: FinitePoset, lattice: DMLattice) -> CheckReport:
     """Every closed set is the join of embedded elements below it and the
     meet of embedded elements above it."""
     for k, mask in enumerate(lattice.closed):
-        below = closure(poset, mask)  # join of {L(x) : x in mask}
+        below = poset.closure(mask)  # join of {L(x) : x in mask}
         above = poset.full
         for j in bits(poset.upper_cone(mask)):
             above &= poset.down[j]

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 from .build import GreechieDiagram
-from .completion import DMLattice
 from .errors import ParseError, PosetError
 from .poset import FinitePoset, build_poset
 
@@ -228,10 +227,9 @@ def serialize_greechie(diagram: GreechieDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(obj: "FinitePoset | DMLattice") -> str:
+def export_dot(poset: FinitePoset) -> str:
     """Hasse diagram as DOT text: cover edges only, bottom-up ranks,
     deterministic id order."""
-    poset = obj.as_poset() if isinstance(obj, DMLattice) else obj
 
     def quote(name: str) -> str:
         return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'

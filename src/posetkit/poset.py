@@ -40,10 +40,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def _transitive_closure(rows: list[int]) -> list[int]:
     # Boolean matrix squaring until fixpoint; at most log2(n)+1 rounds.
     while True:

@@ -5,7 +5,6 @@ import pytest
 from posetkit import corpus
 from posetkit.build import generate_small
 from posetkit.checks import (
-    CheckContext,
     PROPERTIES,
     doubly_dense_subsets,
     finch_criterion,
@@ -163,14 +162,13 @@ def test_ccdd_rejects_subsets_missing_bounds_or_symmetry():
 
 def test_run_check_registry():
     poset = corpus.load("mo2")
-    ctx = CheckContext(poset)
     assert set(PROPERTIES) == {
         "antitone-involution", "complementation", "lattice", "atomic",
         "atomistic", "orthocomplete", "distributive", "boolean", "modular",
         "orthomodular-poset", "orthomodular-lattice", "pseudo-orthomodular",
         "strongly-d-continuous", "finch", "completion-orthomodular",
         "completion-distributive", "completion-modular"}
-    assert run_check("modular", poset, ctx).holds
+    assert run_check("modular", poset).holds
     with pytest.raises(KeyError):
         run_check("no-such-property", poset)
 

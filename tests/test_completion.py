@@ -7,11 +7,9 @@ from posetkit.build import generate_small
 from posetkit.completion import (
     DEFAULT_MAX_CLOSED_SETS,
     check_join_meet_density,
-    closure,
     complete,
-    induced_involution,
 )
-from posetkit.errors import MissingInvolution, SizeLimitExceeded
+from posetkit.errors import SizeLimitExceeded
 from posetkit.poset import build_poset
 
 SMALL_MEMBERS = ("chain2", "chain3", "ba4", "mo2", "benzene", "diamond")
@@ -20,7 +18,7 @@ WITH_INVOLUTION = tuple(name for name in corpus.member_names()
 
 
 def brute_force_closed_sets(poset):
-    return {closure(poset, subset) for subset in range(poset.full + 1)}
+    return {poset.closure(subset) for subset in range(poset.full + 1)}
 
 
 def next_closure(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
@@ -30,7 +28,7 @@ def next_closure(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
     The lectic successor of A is closure((A & low_i) | {i}) for the
     largest i not in A whose closure adds nothing below i.
     """
-    current = closure(poset, 0)
+    current = poset.closure(0)
     out = [current]
     while current != poset.full:
         if len(out) >= max_closed_sets:
@@ -41,7 +39,7 @@ def next_closure(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
             if current & bit:
                 continue
             low = bit - 1
-            candidate = closure(poset, (current & low) | bit)
+            candidate = poset.closure((current & low) | bit)
             if candidate & low == current & low:
                 break
         else:
@@ -106,24 +104,26 @@ def test_join_meet_density(name):
 def test_embedding_preserves_and_reflects_order(name):
     poset = corpus.load(name)
     lattice = complete(poset)
+    completed = lattice.as_poset()
     embed = lattice.embed
     for x in range(poset.n):
         assert lattice.closed[embed[x]] == poset.down[x]
         for y in range(poset.n):
-            assert poset.leq(x, y) == lattice.leq(embed[x], embed[y])
+            assert poset.leq(x, y) == completed.leq(embed[x], embed[y])
 
 
 @pytest.mark.parametrize("name", WITH_INVOLUTION)
 def test_induced_involution_properties(name):
     poset = corpus.load(name)
     lattice = complete(poset)
-    inv = induced_involution(lattice)
+    completed = lattice.as_poset()
+    inv = lattice.inv
     size = len(lattice)
     for k in range(size):
         assert inv[inv[k]] == k
         for m in range(size):
-            if lattice.leq(k, m):
-                assert lattice.leq(inv[m], inv[k])
+            if completed.leq(k, m):
+                assert completed.leq(inv[m], inv[k])
     base_inv = poset.require_involution()
     for x in range(poset.n):
         assert inv[lattice.embed[x]] == lattice.embed[base_inv[x]]
@@ -132,8 +132,6 @@ def test_induced_involution_properties(name):
 def test_no_involution_to_induce():
     lattice = complete(corpus.load("diamond"))
     assert lattice.inv is None
-    with pytest.raises(MissingInvolution):
-        induced_involution(lattice)
 
 
 def test_lattice_ops_agree_with_the_poset_view():
@@ -142,10 +140,8 @@ def test_lattice_ops_agree_with_the_poset_view():
     size = len(lattice)
     for i in range(size):
         for j in range(size):
-            assert lattice.join(i, j) == poset.join_of((1 << i) | (1 << j))
-            assert lattice.meet(i, j) == poset.meet_of((1 << i) | (1 << j))
-    assert lattice.join_all([]) == lattice.bottom
-    assert lattice.meet_all([]) == lattice.top
+            assert lattice.view.join[i][j] == poset.join_of((1 << i) | (1 << j))
+            assert lattice.view.meet[i][j] == poset.meet_of((1 << i) | (1 << j))
 
 
 def test_new_elements_are_named_by_their_maximal_members():

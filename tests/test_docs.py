@@ -1,5 +1,7 @@
 """The README and the CLI docstring stay in step with the code."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -29,3 +31,14 @@ def test_exit_codes_are_documented_zero_through_five():
         # 4 is in use, not held back for later
         assert re.search(r"\b4\b[^,;]*internal", paragraph), paragraph
         assert "reserved" not in paragraph, paragraph
+
+
+def test_readme_library_example_prints_what_it_says():
+    block = re.search(r"```python\n(.*?)```", README, re.S)
+    assert block is not None
+    expected = re.search(r"^# (check: .*)$", block.group(1), re.M)
+    assert expected is not None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block.group(1), "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[0] == expected.group(1)

@@ -233,7 +233,7 @@ def test_dot_export_counts_match_the_poset():
 
 def test_dot_export_accepts_completions():
     lattice = complete(load("fig3"))
-    lines = export_dot(lattice).splitlines()
+    lines = export_dot(lattice.as_poset()).splitlines()
     assert sum(1 for l in lines
                if l.endswith('";') and " -> " not in l) == 20
 
