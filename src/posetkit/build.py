@@ -580,7 +580,8 @@ def generate_small(n: int, constraint: str = "any", *,
     "pseudo_om" streams hold even sizes only: a complementation has no
     fixed point (x' = x would give x ^ x' = x, not 0), so it pairs the
     middle elements off.  The arguments are checked when the stream is
-    made, before it yields anything.
+    made, before it yields anything; random mode raises ValueError when
+    the constraint allows no size in 2..n.
     """
     if constraint not in ("any", "complemented", "pseudo_om"):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -594,7 +595,10 @@ def generate_small(n: int, constraint: str = "any", *,
             f"random generation is capped at {RANDOM_SIZE_CAP} elements")
     if seed is None:
         raise ValueError("random mode needs a seed")
-    return _random(n, constraint, seed)
+    sizes = _sizes(n, constraint)
+    if not sizes:
+        raise ValueError(f"no size in 2..{n} for a random {constraint} poset")
+    return _random(sizes, constraint, seed)
 
 
 def _sizes(n: int, constraint: str) -> list[int]:
@@ -602,11 +606,8 @@ def _sizes(n: int, constraint: str) -> list[int]:
     return [m for m in range(2, n + 1) if constraint == "any" or m % 2 == 0]
 
 
-def _random(n: int, constraint: str, seed: int) -> Iterator[FinitePoset]:
+def _random(sizes: list[int], constraint: str, seed: int) -> Iterator[FinitePoset]:
     rng = random.Random(seed)
-    sizes = _sizes(n, constraint)
-    if not sizes:
-        return
     while True:
         yield _random_structure(rng, rng.choice(sizes), constraint)
 

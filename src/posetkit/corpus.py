@@ -382,42 +382,36 @@ def expectations(name: str) -> "dict[str, bool]":
     return dict(get_entry(name).expectations)
 
 
-def run_member_checks(name: str) -> "list[tuple[str, CheckReport | None, bool | None]]":
-    """Run every registered property against one member.
+def profile_mismatches(
+        name: str,
+        results: "Iterable[tuple[str, CheckReport | None]]") -> "list[str]":
+    """Compare verdicts with one member's recorded profile.
 
-    Returns (property, report, expected) triples in registry order. A None
-    report means a precondition failed; expectations omit such properties,
-    so expected is None there as well.
+    ``results`` holds (property, report) pairs in the order
+    ``run_properties`` ran them; a None report is a skipped check.
+    Returns one text per disagreement, empty when all agree.
     """
-    entry = get_entry(name)
-    ctx = CheckContext(entry.build())
-    return [(prop, report, entry.expectations.get(prop))
-            for prop, report, _ in run_properties(ctx, PROPERTIES)]
+    profile = get_entry(name).expectations
+    mismatches = []
+    for prop, report in results:
+        expected = profile.get(prop)
+        if report is None:
+            if expected is not None:
+                mismatches.append(f"{prop} expected {expected}, check was skipped")
+        elif expected is None:
+            mismatches.append(f"{prop} ran but has no recorded expectation")
+        elif report.holds != expected:
+            mismatches.append(f"{prop} expected {expected}, got {report.holds}")
+    return mismatches
 
 
 def verify_member(name: str) -> "list[str]":
-    """Compare one member's actual verdicts with its recorded expectations.
-
-    Returns human-readable mismatch descriptions, empty when all agree.
-    """
-    problems = []
-    for prop, report, expected in run_member_checks(name):
-        if report is None:
-            if expected is not None:
-                problems.append(
-                    f"{name}: {prop} expected {expected} but the check "
-                    "reported a failed precondition"
-                )
-        elif expected is None:
-            problems.append(
-                f"{name}: {prop} ran (holds={report.holds}) but no "
-                "expectation is recorded"
-            )
-        elif report.holds != expected:
-            problems.append(
-                f"{name}: {prop} expected {expected}, got {report.holds}"
-            )
-    return problems
+    """Run every registered property on one member and compare the
+    verdicts with its profile; mismatch texts start with the name."""
+    ctx = CheckContext(load(name))
+    results = [(prop, report)
+               for prop, report, _ in run_properties(ctx, PROPERTIES)]
+    return [f"{name}: {text}" for text in profile_mismatches(name, results)]
 
 
 def run_corpus_suite(names: "Iterable[str] | None" = None) -> "list[str]":

@@ -115,11 +115,13 @@ def _document_from_json(text: str) -> PosetDocument:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version!r}")
     try:
+        if not isinstance(data["elements"], list):
+            raise ValueError("'elements' must be an array")
         names = tuple(str(x) for x in data["elements"])
-        covers = tuple((str(a), str(b)) for a, b in data.get("covers", []))
+        covers = _json_pairs(data.get("covers", []), "covers")
         inv_data = data.get("involution")
         involution = None if inv_data is None else \
-            tuple((str(a), str(b)) for a, b in inv_data)
+            _json_pairs(inv_data, "involution")
         metadata = tuple((str(k), str(v))
                          for k, v in dict(data.get("metadata", {})).items())
     except (KeyError, TypeError, ValueError) as exc:
@@ -127,6 +129,13 @@ def _document_from_json(text: str) -> PosetDocument:
     if len(set(names)) != len(names):
         raise ParseError("duplicate element name")
     return PosetDocument(names, covers, involution, metadata, FORMAT_VERSION)
+
+
+def _json_pairs(value, key: str) -> "tuple[tuple[str, str], ...]":
+    if not isinstance(value, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value):
+        raise ValueError(f"{key!r} must be an array of 2-item arrays")
+    return tuple((str(a), str(b)) for a, b in value)
 
 
 def parse_poset(text: str) -> FinitePoset:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .completion import DMLattice
 from .errors import InternalError, NoRelativePseudocomplement
-from .poset import ElementSet, FinitePoset, bits
+from .poset import FinitePoset, bits
 from .report import CheckReport
 
 KINDS = ("boolean", "relpseudo", "pseudo_om")
@@ -85,12 +85,10 @@ def operator_pair(poset: FinitePoset, kind: str) -> OperatorPair:
     return OperatorPair(kind, tuple(map(tuple, mul)), tuple(map(tuple, res)), comp)
 
 
-def verify_operator_left_residuation(poset: FinitePoset, kind: str,
-                                     pair: OperatorPair | None = None) -> CheckReport:
-    """Unit, adjunction and zero axioms for the cone valued operators,
-    plus the derived order reflection R(x,y) = P iff x <= y."""
-    if pair is None:
-        pair = operator_pair(poset, kind)
+def verify_operator_left_residuation(poset: FinitePoset, kind: str) -> CheckReport:
+    """Unit, adjunction and zero axioms for the cone valued operators of
+    ``kind``, plus the derived order reflection R(x,y) = P iff x <= y."""
+    pair = operator_pair(poset, kind)
     bottom, top = poset.require_bounds()
     names = poset.names
     mul, res = pair.mul, pair.res

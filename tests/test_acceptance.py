@@ -63,8 +63,7 @@ def test_criterion_01():
         assert is_orthomodular_lattice(lattice).holds
         assert is_distributive_poset(lattice.as_poset()).holds
 
-        pair = operator_pair(poset, "boolean")
-        assert verify_operator_left_residuation(poset, "boolean", pair).holds
+        assert verify_operator_left_residuation(poset, "boolean").holds
 
         completed = lattice.as_poset()
         verdict = verify_left_residuated_lattice(
@@ -212,8 +211,7 @@ def test_criterion_10():
     for kind, members in plans:
         for name in members:
             poset = load(name)
-            pair = operator_pair(poset, kind)
-            verdict = verify_operator_left_residuation(poset, kind, pair)
+            verdict = verify_operator_left_residuation(poset, kind)
             assert verdict.holds, (kind, name, verdict.witness)
 
     for name in RELPSEUDO_MEMBERS:

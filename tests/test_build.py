@@ -224,6 +224,15 @@ def test_generation_guards():
         next(generate_small(RANDOM_SIZE_CAP + 1, "any", seed=1))
 
 
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_random_generation_needs_an_allowed_size(n):
+    for constraint in ("any", "complemented", "pseudo_om"):
+        with pytest.raises(ValueError, match="no size"):
+            generate_small(n, constraint, seed=1)
+    # the smallest allowed size is 2, for every constraint
+    assert next(generate_small(2, "complemented", seed=1)).n == 2
+
+
 # -- the exhaustive generator against the enumerator it replaced ----------
 
 

@@ -62,6 +62,39 @@ def test_check_member_profile(capsys):
     assert any(line.startswith("skip: ") for line in lines)
 
 
+@pytest.fixture
+def forged_mo2(monkeypatch):
+    """mo2 with a profile that wrongly records it as Boolean."""
+    import posetkit.corpus as corpus_mod
+
+    entry = corpus_mod.get_entry("mo2")
+    forged = dict(corpus_mod._ENTRIES)
+    forged["mo2"] = corpus_mod.CorpusEntry(
+        entry.name, entry.build, entry.description,
+        dict(entry.expectations, boolean=True))
+    monkeypatch.setattr(corpus_mod, "_ENTRIES", forged)
+
+
+def test_check_member_profile_mismatch(capsys, forged_mo2):
+    code, out, _ = run(capsys, "check", "mo2")
+    assert code == 1
+    assert out.splitlines()[-3:-1] == [
+        "profile: MISMATCH boolean expected True, got False",
+        "profile: 1 mismatches",
+    ]
+
+
+def test_check_member_profile_reports_skipped_checks(capsys):
+    code, out, _ = run(capsys, "check", "ba16", "--max-closed-sets", "10")
+    assert code == 1
+    skipped = ("strongly-d-continuous", "finch", "completion-orthomodular",
+               "completion-distributive", "completion-modular")
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+        f"profile: MISMATCH {name} expected True, check was skipped"
+        for name in skipped]
+    assert "profile: 5 mismatches" in out
+
+
 def test_check_raw_file_pass_and_fail(capsys, tmp_path):
     good = tmp_path / "ba8.poset"
     good.write_text(serialize_poset(load("ba8")))
@@ -308,6 +341,27 @@ def test_corpus_single_member(capsys):
     code, out, _ = run(capsys, "corpus", "--member", "fig1a")
     assert code == 0
     assert out.splitlines() == ["corpus: fig1a ok"]
+
+
+def test_corpus_reports_the_check_mismatch_texts(capsys, forged_mo2):
+    code, out, _ = run(capsys, "corpus", "--member", "mo2")
+    assert code == 1
+    assert out.splitlines() == [
+        "corpus: mo2 MISMATCH",
+        "corpus:   mo2: boolean expected True, got False",
+    ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--max-size", "1"), "--max-size must be at least 2"),
+    (("--generate", "-2"), "--generate must be at least 0"),
+])
+def test_corpus_rejects_out_of_range_generation(capsys, argv, message):
+    code, out, err = run(capsys, "corpus", "--generate", "3", "--seed", "1",
+                         *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_corpus_generate_requires_seed(capsys):

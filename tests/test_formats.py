@@ -150,6 +150,16 @@ def test_json_version_and_shape_errors():
         parse_poset('{"elements": ["0", "0"]}')
 
 
+def test_json_strings_are_not_arrays():
+    for text in ('{"elements": "01", "covers": [["0", "1"]]}',
+                 '{"elements": ["0", "1"], "covers": ["01"]}',
+                 '{"elements": ["0", "1"], "covers": "01"}',
+                 '{"elements": ["0", "1"], "involution": ["01"]}',
+                 '{"elements": ["0", "1"], "involution": [["0", "1", "0"]]}'):
+        with pytest.raises(ParseError, match="malformed JSON document"):
+            parse_poset(text)
+
+
 # ------------------------------------------------------ serialization guards
 
 def test_plain_style_rejects_reserved_characters():

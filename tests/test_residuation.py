@@ -83,6 +83,14 @@ def test_axioms_fail_where_the_structure_is_wrong():
         corpus.load("fig3"), "pseudo_om").holds
 
 
+def test_operator_verdict_uses_the_pair_of_its_kind():
+    fig2 = corpus.load("fig2")
+    assert verify_operator_left_residuation(fig2, "pseudo_om").holds
+    report = verify_operator_left_residuation(fig2, "boolean")
+    assert not report.holds
+    assert report.witness == {"axiom": "adjunction", "x": "a", "y": "a", "z": "f"}
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         operator_pair(corpus.load("ba4"), "weird")
