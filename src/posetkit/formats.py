@@ -117,7 +117,7 @@ def _document_from_json(text: str) -> PosetDocument:
     try:
         if not isinstance(data["elements"], list):
             raise ValueError("'elements' must be an array")
-        names = tuple(str(x) for x in data["elements"])
+        names = _json_names(data["elements"], "elements")
         covers = _json_pairs(data.get("covers", []), "covers")
         inv_data = data.get("involution")
         involution = None if inv_data is None else \
@@ -135,7 +135,13 @@ def _json_pairs(value, key: str) -> "tuple[tuple[str, str], ...]":
     if not isinstance(value, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in value):
         raise ValueError(f"{key!r} must be an array of 2-item arrays")
-    return tuple((str(a), str(b)) for a, b in value)
+    return tuple(_json_names(pair, key) for pair in value)
+
+
+def _json_names(value: list, key: str) -> "tuple[str, ...]":
+    if not all(isinstance(name, str) for name in value):
+        raise ValueError(f"{key!r} must name elements by JSON strings")
+    return tuple(value)
 
 
 def parse_poset(text: str) -> FinitePoset:

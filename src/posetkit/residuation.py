@@ -10,6 +10,7 @@ and the adjunction is the usual order one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 
 from .completion import DMLattice
 from .errors import InternalError, NoRelativePseudocomplement
@@ -123,30 +124,36 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     """Lift the relative pseudocomplement to closed sets:
     X * Y = intersection of L(a*b) over a in X, b in U(Y).
 
-    Checks that the lift really is relative pseudocomplementation on
-    the completion and that it extends the base operation along the
-    embedding.
+    The intersection is taken in two stages: for each base element a
+    the row of L(a*b) over b in U(Y_j), then for each closed set X_i the
+    intersection of the rows of its members.  The lift must really be
+    relative pseudocomplementation on the completion, K ^ X <= Y iff
+    K <= X * Y, which is the Galois criterion of
+    ``_first_unadjoint_column`` for K -> K ^ X and Y -> X * Y; and it
+    must extend the base operation along the embedding.  Either failure
+    raises InternalError.
     """
     star = pseudocomplement_table(poset)
-    m = len(lattice)
-    closed = lattice.closed
-    table = [[0] * m for _ in range(m)]
-    for j in range(m):
-        upper = poset.upper_cone(closed[j])
-        for i in range(m):
-            acc = poset.full
-            for a in bits(closed[i]):
-                for b in bits(upper):
-                    acc &= poset.down[star[a][b]]
-            table[i][j] = lattice.index[acc]
-    for i in range(m):
-        for j in range(m):
-            best = closed[table[i][j]]
-            if best & closed[i] & ~closed[j]:
-                raise InternalError("lifted star must satisfy (X*Y) ^ X <= Y")
-            for k in range(m):
-                if closed[k] & closed[i] & ~closed[j] == 0 and closed[k] & ~best:
-                    raise InternalError("lifted star must be the greatest such closed set")
+    closed, index, full = lattice.closed, lattice.index, poset.full
+    uppers = [tuple(bits(poset.upper_cone(mask))) for mask in closed]
+    rows = []
+    for star_a in star:
+        row = []
+        for upper in uppers:
+            acc = full
+            for b in upper:
+                acc &= poset.down[star_a[b]]
+            row.append(acc)
+        rows.append(row)
+    table = []
+    for mask in closed:
+        acc_row = [full] * len(closed)
+        for a in bits(mask):
+            acc_row = list(map(and_, acc_row, rows[a]))
+        table.append([index[acc] for acc in acc_row])
+    order = lattice.as_poset()
+    if _first_unadjoint_column(order, order.view.meet, table) is not None:
+        raise InternalError("lifted star must be residual to the meet")
     for x in range(poset.n):
         for y in range(poset.n):
             if table[lattice.embed[x]][lattice.embed[y]] != lattice.embed[star[x][y]]:
@@ -196,9 +203,58 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     return ResiduatedOps(kind, tuple(map(tuple, odot)), tuple(map(tuple, arrow)))
 
 
+def _first_unadjoint_column(order: FinitePoset, odot, arrow) -> int | None:
+    """First y at which x.y <= z and x <= y->z disagree for some x, z,
+    or None.
+
+    For a fixed y the adjunction says f = (.y) and g = (y->.) form a
+    Galois connection, which holds exactly when f and g are isotone,
+    f(g(z)) <= z and x <= g(f(x)) (Davey & Priestley, Introduction to
+    Lattices and Order, 2002, ch. 7).  The equivalence holds for any
+    tables on any poset, column by column, and in a finite poset
+    isotonicity needs only the cover pairs: O(n*(n + covers)) membership
+    tests in all.
+    """
+    leq = {(i, j) for i in range(order.n) for j in bits(order.up[i])}
+    covers = order.cover_pairs()
+    lows = [i for i, _ in covers]
+    highs = [j for _, j in covers]
+    ids = range(order.n)
+
+    def isotone(h) -> bool:
+        return leq.issuperset(zip(map(h.__getitem__, lows), map(h.__getitem__, highs)))
+
+    for y, (f, g) in enumerate(zip(zip(*odot), arrow)):
+        if not (isotone(f) and isotone(g)
+                and leq.issuperset(zip(map(f.__getitem__, g), ids))
+                and leq.issuperset(zip(ids, map(g.__getitem__, f)))):
+            return y
+    return None
+
+
+def _adjunction_witness(lattice: FinitePoset, odot, arrow, y: int) -> tuple[int, int] | None:
+    """First x, then first z, with x.y <= z and x <= y->z disagreeing,
+    or None.  The arrow column is transposed so both sides become one
+    mask comparison per x."""
+    below_arrow = [0] * lattice.n
+    for z in range(lattice.n):
+        for x in bits(lattice.down[arrow[y][z]]):
+            below_arrow[x] |= 1 << z
+    for x in range(lattice.n):
+        if lattice.up[odot[x][y]] != below_arrow[x]:
+            return x, next(bits(lattice.up[odot[x][y]] ^ below_arrow[x]))
+    return None
+
+
 def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
                                    check_associativity: bool = False) -> CheckReport:
     """Unit law and adjunction for element valued operations.
+
+    The adjunction is decided column by column with the Galois criterion
+    of ``_first_unadjoint_column``.  On a failure the first failing y is
+    walked in full to name the first x, then the first z, where
+    x.y <= z and x <= y->z disagree; a criterion failure that the walk
+    cannot witness raises InternalError.
 
     Commutativity of odot is reported as a flag; associativity too when
     asked for, and neither is required for the check to hold.
@@ -222,18 +278,14 @@ def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
         if odot[x][top] != x or odot[top][x] != x:
             return CheckReport("left-residuated-lattice", False,
                                witness={"axiom": "unit", "x": names[x]}, extra=flags)
-    for y in range(n):
-        # transpose of the arrow column so both adjunction sides become
-        # one mask comparison per x
-        below_arrow = [0] * n
-        for z in range(n):
-            for x in bits(lattice.down[arrow[y][z]]):
-                below_arrow[x] |= 1 << z
-        for x in range(n):
-            if lattice.up[odot[x][y]] != below_arrow[x]:
-                z = next(bits(lattice.up[odot[x][y]] ^ below_arrow[x]))
-                return CheckReport("left-residuated-lattice", False,
-                                   witness={"axiom": "adjunction", "x": names[x],
-                                            "y": names[y], "z": names[z]},
-                                   extra=flags)
-    return CheckReport("left-residuated-lattice", True, extra=flags)
+    y = _first_unadjoint_column(lattice, odot, arrow)
+    if y is None:
+        return CheckReport("left-residuated-lattice", True, extra=flags)
+    found = _adjunction_witness(lattice, odot, arrow, y)
+    if found is None:
+        raise InternalError("Galois criterion and adjunction walk must agree")
+    x, z = found
+    return CheckReport("left-residuated-lattice", False,
+                       witness={"axiom": "adjunction", "x": names[x],
+                                "y": names[y], "z": names[z]},
+                       extra=flags)

@@ -17,6 +17,7 @@ from posetkit import (
     serialize_poset,
 )
 from posetkit import poset as poset_module
+from posetkit import residuation
 from posetkit.cli import cli_main
 from posetkit.corpus import boolean_algebra, load
 
@@ -192,6 +193,31 @@ def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (4, "")
     assert "internal error: the two distributivity" in done.stderr
+
+
+_FLAG_EVERY_COLUMN = """
+from posetkit import residuation
+residuation._first_unadjoint_column = lambda *args: 0
+"""
+
+
+def test_flagged_passing_column_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(residuation, "_first_unadjoint_column", lambda *args: 0)
+    code, out, err = run(capsys, "residuate", "fig1a", "--kind", "boolean",
+                         "--on-completion")
+    assert (code, out) == (4, "")
+    assert err == ("posetkit: internal error: "
+                   "Galois criterion and adjunction walk must agree\n")
+    src = str(Path(posetkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = _FLAG_EVERY_COLUMN + (
+        "from posetkit.cli import cli_main\n"
+        "raise SystemExit(cli_main(['residuate', 'chain3', '--kind', 'relpseudo',"
+        " '--on-completion']))\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert "internal error: lifted star must be residual" in done.stderr
 
 
 def test_check_usage_errors(capsys):

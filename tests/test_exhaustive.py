@@ -6,6 +6,11 @@ import pytest
 
 from posetkit.build import EXHAUSTIVE_SIZE_CAP, generate_small
 from posetkit.checks import PROPERTIES, CheckContext, naive_strongly_d_continuous
+from posetkit.residuation import (
+    bdm_transform,
+    verify_left_residuated_lattice,
+    verify_operator_left_residuation,
+)
 
 pytestmark = pytest.mark.exhaustive
 
@@ -21,3 +26,23 @@ def test_equivalences_over_every_complemented_poset_up_to_the_cap():
         oml = PROPERTIES["completion-orthomodular"](ctx).holds
         assert (sdc and pom) == finch == oml, poset.names
         assert naive_strongly_d_continuous(poset).holds == sdc, poset.names
+
+
+def test_residuation_over_every_complemented_poset_up_to_the_cap():
+    """The paper's first half: on the completion the pseudo_om kind is
+    left residuated exactly when it is orthomodular, the boolean kind
+    exactly when it is also distributive; the pseudo_om operators are
+    left residuated on every pseudo-orthomodular poset."""
+    pom_count = 0
+    for poset in generate_small(EXHAUSTIVE_SIZE_CAP, "complemented", exhaustive=True):
+        ctx = CheckContext(poset)
+        oml = PROPERTIES["completion-orthomodular"](ctx).holds
+        distributive = PROPERTIES["completion-distributive"](ctx).holds
+        completed = ctx.dm.as_poset()
+        for kind, expected in (("pseudo_om", oml), ("boolean", oml and distributive)):
+            verdict = verify_left_residuated_lattice(completed, bdm_transform(completed, kind))
+            assert verdict.holds == expected, (kind, poset.names)
+        if PROPERTIES["pseudo-orthomodular"](ctx).holds:
+            pom_count += 1
+            assert verify_operator_left_residuation(poset, "pseudo_om").holds, poset.names
+    assert pom_count == 5

@@ -160,6 +160,18 @@ def test_json_strings_are_not_arrays():
             parse_poset(text)
 
 
+def test_json_element_names_must_be_strings():
+    with pytest.raises(ParseError, match="'elements' must name elements by JSON strings"):
+        parse_poset('{"elements": [["0"], null, 1.5], '
+                    '"covers": [[["0"], null], [null, 1.5]]}')
+    for text in ('{"elements": ["0", 1], "covers": [["0", "1"]]}',
+                 '{"elements": ["0", "1"], "covers": [["0", 1]]}',
+                 '{"elements": ["0", "1"], "involution": [["0", null]]}',
+                 '{"elements": ["0", "1"], "involution": [[false, "1"]]}'):
+        with pytest.raises(ParseError, match="must name elements by JSON strings"):
+            parse_poset(text)
+
+
 # ------------------------------------------------------ serialization guards
 
 def test_plain_style_rejects_reserved_characters():
