@@ -41,16 +41,15 @@ from .report import CheckReport
 
 def _distributive_violation(poset: FinitePoset, dual: bool) -> tuple | None:
     """First (x, y, z) with L(U(x,y),z) != LU(L(x,z),L(y,z)), or None;
-    the dual form swaps the lower and upper cones."""
-    n = poset.n
-    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
-              else (poset.upper_cone, poset.lower_cone))
-    for x in range(n):
-        for y in range(n):
-            outer = up((1 << x) | (1 << y))
-            for z in range(n):
-                zbit = 1 << z
-                if lo(outer | zbit) != lo(up(lo((1 << x) | zbit) | lo((1 << y) | zbit))):
+    the dual form swaps the lower and upper cones.  Each side is one
+    closure, as L(U(A),z) = LU(A) ∩ ↓z and L(x,z) = ↓x ∩ ↓z."""
+    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
+                     else (poset.upper_cone, poset.lower_cone, poset.up))
+    for x in range(poset.n):
+        for y in range(poset.n):
+            closed = lo(up((1 << x) | (1 << y)))
+            for z in range(poset.n):
+                if closed & below[z] != lo(up((below[x] | below[y]) & below[z])):
                     return (x, y, z)
     return None
 
@@ -232,14 +231,15 @@ def is_modular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
 
 def _pseudo_om_violation(poset: FinitePoset, dual: bool) -> tuple | None:
     """First (x, y) with L(U(L(x,y),y'),y) != L(x,y), or None; the dual
-    form swaps the lower and upper cones."""
+    form swaps the lower and upper cones.  The outer term is one closure,
+    LU(L(x,y),y') ∩ ↓y."""
     inv = poset.inv
-    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
-              else (poset.upper_cone, poset.lower_cone))
+    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
+                     else (poset.upper_cone, poset.lower_cone, poset.up))
     for x in range(poset.n):
         for y in range(poset.n):
-            below = lo((1 << x) | (1 << y))
-            if lo(up(below | (1 << inv[y])) | (1 << y)) != below:
+            pair = below[x] & below[y]
+            if lo(up(pair | (1 << inv[y]))) & below[y] != pair:
                 return (x, y)
     return None
 

@@ -306,10 +306,17 @@ def _cmd_export(args) -> int:
     return 0
 
 
+def _cap(text: str) -> int:
+    """The --max-closed-sets value: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"N must be an integer of at least 1, not {text!r}")
+    return int(text)
+
+
 def _add_cap(sub) -> None:
-    sub.add_argument("--max-closed-sets", type=int,
+    sub.add_argument("--max-closed-sets", type=_cap,
                      default=DEFAULT_MAX_CLOSED_SETS, metavar="N",
-                     help="abort completions larger than N closed sets")
+                     help="abort completions larger than N closed sets (N >= 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -112,7 +112,7 @@ def _document_from_json(text: str) -> PosetDocument:
     if not isinstance(data, dict):
         raise ParseError("JSON document must be an object")
     version = data.get("format", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version!r}")
     try:
         if not isinstance(data["elements"], list):
@@ -122,13 +122,15 @@ def _document_from_json(text: str) -> PosetDocument:
         inv_data = data.get("involution")
         involution = None if inv_data is None else \
             _json_pairs(inv_data, "involution")
-        metadata = tuple((str(k), str(v))
-                         for k, v in dict(data.get("metadata", {})).items())
+        metadata = data.get("metadata", {})
+        if not isinstance(metadata, dict) or not all(
+                isinstance(value, str) for value in metadata.values()):
+            raise ValueError("'metadata' must be an object of JSON strings")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON document: {exc}") from None
     if len(set(names)) != len(names):
         raise ParseError("duplicate element name")
-    return PosetDocument(names, covers, involution, metadata, FORMAT_VERSION)
+    return PosetDocument(names, covers, involution, tuple(metadata.items()), version)
 
 
 def _json_pairs(value, key: str) -> "tuple[tuple[str, str], ...]":

@@ -7,6 +7,12 @@ principal up-set, each as a bitmask.  Every cone computation is then a chain
 of word-wide intersections, which keeps all the checkers in this package at
 desk-scale cost without any third-party numerics.
 
+Two rules answer every cone question.  A subset has a join exactly when
+its upper cone is a principal up-set (meets dually), so ``join_of``,
+``meet_of`` and ``view`` are lookups in ``by_up`` and ``by_down``.  And
+L(U(A) ∪ {z}) = L(U(A)) ∩ ↓z with L(x,y) = ↓x ∩ ↓y, so a composite cone
+term is one :meth:`FinitePoset.closure` cut down by principal rows.
+
 Conventions used throughout:
 
 * the lower/upper cone of the empty set is the whole carrier,
@@ -67,7 +73,7 @@ class FinitePoset:
     """
 
     __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids",
-                 "_view", "_antitone", "_complementation")
+                 "_by_up", "_by_down", "_view", "_antitone", "_complementation")
 
     def __init__(self, names: tuple[str, ...], up: tuple[int, ...],
                  inv: tuple[int, ...] | None = None):
@@ -105,6 +111,8 @@ class FinitePoset:
         self.bottom = bottoms[0] if bottoms else None
         self.top = tops[0] if tops else None
         self._ids = {name: i for i, name in enumerate(names)}
+        self._by_up = None
+        self._by_down = None
         self._view = None
         self._antitone = None
         self._complementation = None
@@ -177,18 +185,19 @@ class FinitePoset:
 
     # -- extrema ----------------------------------------------------------
 
-    def min_of(self, subset: ElementSet) -> int | None:
-        """Least element of a subset, if it has one."""
-        for i in bits(subset):
-            if subset & ~self.up[i] == 0:
-                return i
-        return None
+    @property
+    def by_up(self) -> dict[ElementSet, int]:
+        """Each principal up-set mapped to its element, built on first use."""
+        if self._by_up is None:
+            self._by_up = {row: k for k, row in enumerate(self.up)}
+        return self._by_up
 
-    def max_of(self, subset: ElementSet) -> int | None:
-        for i in bits(subset):
-            if subset & ~self.down[i] == 0:
-                return i
-        return None
+    @property
+    def by_down(self) -> dict[ElementSet, int]:
+        """Each principal down-set mapped to its element, built on first use."""
+        if self._by_down is None:
+            self._by_down = {row: k for k, row in enumerate(self.down)}
+        return self._by_down
 
     def maximal_of(self, subset: ElementSet) -> ElementSet:
         out = 0
@@ -198,21 +207,18 @@ class FinitePoset:
         return out
 
     def join_of(self, subset: ElementSet) -> int | None:
-        """Least upper bound of a subset of elements, or None."""
-        return self.min_of(self.upper_cone(subset))
+        """Least upper bound of a subset, or None: U(subset) looked up in by_up."""
+        return self.by_up.get(self.upper_cone(subset))
 
     def meet_of(self, subset: ElementSet) -> int | None:
-        return self.max_of(self.lower_cone(subset))
+        return self.by_down.get(self.lower_cone(subset))
 
     @property
     def view(self) -> "LatticeView":
-        """Join and meet tables, built on first use.  U(i,j) has a least
-        element exactly when it is some principal up-set, so each join is
-        one dict lookup, and each meet the dual one.  Raises NotALattice
-        naming the first pair without a join or a meet."""
+        """Join and meet tables of principal lookups, built on first use.
+        Raises NotALattice naming the first pair without a join or a meet."""
         if self._view is None:
-            by_up = {row: k for k, row in enumerate(self.up)}
-            by_down = {row: k for k, row in enumerate(self.down)}
+            by_up, by_down = self.by_up, self.by_down
             join = [[by_up.get(row & other) for other in self.up] for row in self.up]
             meet = [[by_down.get(row & other) for other in self.down] for row in self.down]
             if any(None in row for row in join) or any(None in row for row in meet):
@@ -377,9 +383,9 @@ def lattice_violation(poset: FinitePoset) -> dict | None:
     """First pair with no join or no meet, for witness reporting."""
     for i in range(poset.n):
         for j in range(i + 1, poset.n):
-            if poset.min_of(poset.up[i] & poset.up[j]) is None:
+            if poset.up[i] & poset.up[j] not in poset.by_up:
                 return {"x": poset.names[i], "y": poset.names[j], "missing": "join"}
-            if poset.max_of(poset.down[i] & poset.down[j]) is None:
+            if poset.down[i] & poset.down[j] not in poset.by_down:
                 return {"x": poset.names[i], "y": poset.names[j], "missing": "meet"}
     return None
 

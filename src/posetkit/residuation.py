@@ -21,28 +21,22 @@ KINDS = ("boolean", "relpseudo", "pseudo_om")
 
 
 def relative_pseudocomplement(poset: FinitePoset, x: int, y: int) -> int | None:
-    """Greatest c with L(c,x) inside L(y), or None when no greatest
-    element exists among the candidates."""
-    target = poset.down[y]
-    candidates = 0
-    for c in range(poset.n):
-        if poset.down[c] & poset.down[x] & ~target == 0:
-            candidates |= 1 << c
-    for c in bits(candidates):
-        if candidates & ~poset.down[c] == 0:
-            return c
-    return None
+    """Greatest c with L(c,x) inside L(y), or None.  The candidates are
+    the elements above no member of L(x) outside L(y): a down-set, which has a
+    greatest element exactly when it is principal."""
+    above = 0
+    for d in bits(poset.down[x] & ~poset.down[y]):
+        above |= poset.up[d]
+    return poset.by_down.get(poset.full & ~above)
 
 
 def pseudocomplement_table(poset: FinitePoset) -> list[list[int]]:
-    table = [[0] * poset.n for _ in range(poset.n)]
-    for x in range(poset.n):
-        for y in range(poset.n):
-            s = relative_pseudocomplement(poset, x, y)
-            if s is None:
-                raise NoRelativePseudocomplement(
-                    f"{poset.names[x]} * {poset.names[y]} does not exist")
-            table[x][y] = s
+    ids = range(poset.n)
+    table = [[relative_pseudocomplement(poset, x, y) for y in ids] for x in ids]
+    for x, row in enumerate(table):
+        if None in row:
+            raise NoRelativePseudocomplement(
+                f"{poset.names[x]} * {poset.names[row.index(None)]} does not exist")
     return table
 
 
@@ -60,29 +54,20 @@ def operator_pair(poset: FinitePoset, kind: str) -> OperatorPair:
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     bottom, _ = poset.require_bounds()
-    lo, up = poset.lower_cone, poset.upper_cone
-    n = poset.n
-    mul = [[0] * n for _ in range(n)]
-    res = [[0] * n for _ in range(n)]
+    closure, down, ids = poset.closure, poset.down, range(poset.n)
     if kind == "relpseudo":
         star = pseudocomplement_table(poset)
-        comp = tuple(star[x][bottom] for x in range(n))
-        for x in range(n):
-            for y in range(n):
-                mul[x][y] = lo((1 << x) | (1 << y))
-                res[x][y] = poset.down[star[x][y]]
+        comp = tuple(row[bottom] for row in star)
+        mul = [[down[x] & down[y] for y in ids] for x in ids]
+        res = [[down[s] for s in row] for row in star]
     else:
-        inv = poset.require_involution()
-        comp = tuple(inv)
-        for x in range(n):
-            for y in range(n):
-                pair = (1 << x) | (1 << y)
-                if kind == "boolean":
-                    mul[x][y] = lo(pair)
-                    res[x][y] = lo(up((1 << inv[x]) | (1 << y)))
-                else:
-                    mul[x][y] = lo(up((1 << x) | (1 << inv[y])) | (1 << y))
-                    res[x][y] = lo(up(lo(pair) | (1 << inv[x])))
+        comp = inv = poset.require_involution()
+        if kind == "boolean":
+            mul = [[down[x] & down[y] for y in ids] for x in ids]
+            res = [[closure((1 << inv[x]) | (1 << y)) for y in ids] for x in ids]
+        else:
+            mul = [[closure((1 << x) | (1 << inv[y])) & down[y] for y in ids] for x in ids]
+            res = [[closure((down[x] & down[y]) | (1 << inv[x])) for y in ids] for x in ids]
     return OperatorPair(kind, tuple(map(tuple, mul)), tuple(map(tuple, res)), comp)
 
 

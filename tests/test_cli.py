@@ -275,6 +275,24 @@ def test_complete_respects_cap(capsys):
     assert err == "posetkit: size limit: more than 10 closed sets; raise max_closed_sets\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "fig3"), ("complete", "fig3"), ("residuate", "fig3", "--kind", "boolean"),
+    ("corpus", "--member", "chain2"), ("export", "fig3", "--completion"),
+])
+@pytest.mark.parametrize("cap", ["0", "-5", "+5", "many"])
+def test_caps_below_one_are_usage_errors(capsys, argv, cap):
+    code, out, err = run(capsys, *argv, "--max-closed-sets", cap)
+    assert (code, out) == (2, "")
+    assert f"argument --max-closed-sets: N must be an integer of at least 1, not '{cap}'" in err
+    assert "size limit" not in err
+
+
+def test_a_cap_of_one_is_accepted(capsys):
+    code, out, err = run(capsys, "complete", "chain2", "--max-closed-sets", "1")
+    assert (code, out) == (5, "")
+    assert err.startswith("posetkit: size limit: more than 1 closed sets")
+
+
 def test_hit_caps_exit_with_the_size_limit_code(capsys):
     code, out, err = run(capsys, "export", "fig3", "--completion",
                          "--max-closed-sets", "5")

@@ -1,0 +1,290 @@
+"""The two cone rules against the routes they replaced.
+
+Suprema used to come from scanning a cone for its least element, the
+relative pseudocomplement from scanning every candidate, and composite
+cone terms from chains of lower and upper cones.  Those routes are kept
+here as oracles.  Every lookup must give the same element or the same
+None, and every report, witness included, and every operator table must
+come out the same.
+
+The distributive and boolean reports of 2^6 take about ten seconds on
+both routes together, so that one comparison runs with the opt-in
+``exhaustive`` tier.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_completion import crown
+
+from posetkit import checks, corpus
+from posetkit.build import generate_small
+from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext
+from posetkit.completion import check_join_meet_density, complete
+from posetkit.errors import MissingBounds, MissingInvolution, NoRelativePseudocomplement
+from posetkit.poset import FinitePoset, bits, build_poset, lattice_violation
+from posetkit.report import CheckReport
+from posetkit.residuation import (
+    KINDS,
+    OperatorPair,
+    operator_pair,
+    pseudocomplement_table,
+    relative_pseudocomplement,
+)
+
+# -- the replaced routes ------------------------------------------------------
+
+
+def scan_least(poset, subset):
+    """Least element of a subset, if it has one."""
+    for i in bits(subset):
+        if subset & ~poset.up[i] == 0:
+            return i
+    return None
+
+
+def scan_greatest(poset, subset):
+    for i in bits(subset):
+        if subset & ~poset.down[i] == 0:
+            return i
+    return None
+
+
+def scan_join(poset, subset):
+    return scan_least(poset, poset.upper_cone(subset))
+
+
+def scan_meet(poset, subset):
+    return scan_greatest(poset, poset.lower_cone(subset))
+
+
+def scan_lattice_violation(poset):
+    for i in range(poset.n):
+        for j in range(i + 1, poset.n):
+            if scan_least(poset, poset.up[i] & poset.up[j]) is None:
+                return {"x": poset.names[i], "y": poset.names[j], "missing": "join"}
+            if scan_greatest(poset, poset.down[i] & poset.down[j]) is None:
+                return {"x": poset.names[i], "y": poset.names[j], "missing": "meet"}
+    return None
+
+
+def scan_relative_pseudocomplement(poset, x, y):
+    target = poset.down[y]
+    candidates = 0
+    for c in range(poset.n):
+        if poset.down[c] & poset.down[x] & ~target == 0:
+            candidates |= 1 << c
+    return scan_greatest(poset, candidates)
+
+
+def scan_pseudocomplement_table(poset):
+    table = [[0] * poset.n for _ in range(poset.n)]
+    for x in range(poset.n):
+        for y in range(poset.n):
+            s = scan_relative_pseudocomplement(poset, x, y)
+            if s is None:
+                raise NoRelativePseudocomplement(
+                    f"{poset.names[x]} * {poset.names[y]} does not exist")
+            table[x][y] = s
+    return table
+
+
+def chain_distributive_violation(poset, dual):
+    n = poset.n
+    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
+              else (poset.upper_cone, poset.lower_cone))
+    for x in range(n):
+        for y in range(n):
+            outer = up((1 << x) | (1 << y))
+            for z in range(n):
+                zbit = 1 << z
+                if lo(outer | zbit) != lo(up(lo((1 << x) | zbit) | lo((1 << y) | zbit))):
+                    return (x, y, z)
+    return None
+
+
+def chain_pseudo_om_violation(poset, dual):
+    inv = poset.inv
+    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
+              else (poset.upper_cone, poset.lower_cone))
+    for x in range(poset.n):
+        for y in range(poset.n):
+            below = lo((1 << x) | (1 << y))
+            if lo(up(below | (1 << inv[y])) | (1 << y)) != below:
+                return (x, y)
+    return None
+
+
+def chain_operator_pair(poset, kind):
+    bottom, _ = poset.require_bounds()
+    lo, up = poset.lower_cone, poset.upper_cone
+    n = poset.n
+    mul = [[0] * n for _ in range(n)]
+    res = [[0] * n for _ in range(n)]
+    if kind == "relpseudo":
+        star = scan_pseudocomplement_table(poset)
+        comp = tuple(star[x][bottom] for x in range(n))
+        for x in range(n):
+            for y in range(n):
+                mul[x][y] = lo((1 << x) | (1 << y))
+                res[x][y] = poset.down[star[x][y]]
+    else:
+        inv = poset.require_involution()
+        comp = tuple(inv)
+        for x in range(n):
+            for y in range(n):
+                pair = (1 << x) | (1 << y)
+                if kind == "boolean":
+                    mul[x][y] = lo(pair)
+                    res[x][y] = lo(up((1 << inv[x]) | (1 << y)))
+                else:
+                    mul[x][y] = lo(up((1 << x) | (1 << inv[y])) | (1 << y))
+                    res[x][y] = lo(up(lo(pair) | (1 << inv[x])))
+    return OperatorPair(kind, tuple(map(tuple, mul)), tuple(map(tuple, res)), comp)
+
+
+def chain_join_meet_density(poset, lattice):
+    for mask in lattice.closed:
+        below = poset.closure(mask)
+        above = poset.full
+        for j in bits(poset.upper_cone(mask)):
+            above &= poset.down[j]
+        if below != mask or above != mask:
+            return CheckReport("join-meet-density", False,
+                               witness={"closed-set": poset.names_of(mask)},
+                               details="not recovered from embedded elements")
+    return CheckReport("join-meet-density", True, details=f"{len(lattice)} closed sets")
+
+
+# -- comparisons ----------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """The result, or the type and text of a precondition error."""
+    try:
+        return fn(*args)
+    except (*PRECONDITION_ERRORS, NoRelativePseudocomplement) as exc:
+        return type(exc), str(exc)
+
+
+def probe_subsets(poset):
+    """Every subset up to 7 elements; beyond that the empty set, the
+    pairs, the principal sets and 200 seeded random subsets."""
+    if poset.n <= 7:
+        return range(poset.full + 1)
+    rng = random.Random(poset.n)
+    pairs = [(1 << i) | (1 << j) for i in range(poset.n) for j in range(i, poset.n)]
+    return [0, *pairs, *poset.up, *poset.down,
+            *(rng.getrandbits(poset.n) for _ in range(200))]
+
+
+def assert_lookups_match(poset):
+    for subset in probe_subsets(poset):
+        assert poset.join_of(subset) == scan_join(poset, subset), subset
+        assert poset.meet_of(subset) == scan_meet(poset, subset), subset
+    assert lattice_violation(poset) == scan_lattice_violation(poset)
+    for x in range(poset.n):
+        for y in range(poset.n):
+            assert (relative_pseudocomplement(poset, x, y)
+                    == scan_relative_pseudocomplement(poset, x, y)), (x, y)
+    assert (outcome(pseudocomplement_table, poset)
+            == outcome(scan_pseudocomplement_table, poset))
+
+
+REPORTS = ("distributive", "boolean", "pseudo-orthomodular", "orthomodular-poset")
+
+
+def reports(poset, names):
+    ctx = CheckContext(poset)
+    return [outcome(PROPERTIES[name], ctx) for name in names]
+
+
+def assert_same_as_oracle(poset, names=REPORTS):
+    assert_lookups_match(poset)
+    with pytest.MonkeyPatch.context() as patch:
+        # one evaluation per form, shared by the distributive and boolean reports
+        patch.setattr(checks, "_distributive_violation",
+                      functools.cache(checks._distributive_violation))
+        new = reports(poset, names)
+        patch.setattr(FinitePoset, "join_of", scan_join)
+        patch.setattr(checks, "_distributive_violation",
+                      functools.cache(chain_distributive_violation))
+        patch.setattr(checks, "_pseudo_om_violation", chain_pseudo_om_violation)
+        assert reports(poset, names) == new
+    for kind in KINDS:
+        assert outcome(operator_pair, poset, kind) == outcome(chain_operator_pair, poset, kind)
+    lattice = outcome(complete, poset)
+    if not isinstance(lattice, tuple):
+        assert check_join_meet_density(poset, lattice) == chain_join_meet_density(poset, lattice)
+
+
+FAMILIES = {
+    **{f"ba{1 << k}": corpus.boolean_algebra(k) for k in range(1, 7)},
+    **{f"crown{k}": crown(k) for k in range(3, 7)},
+    **{f"mo{n}": corpus.mo(n) for n in (1, 2, 3, 5, 8)},
+    **{f"chain{k}": corpus.chain(k) for k in (2, 3, 5, 9)},
+}
+SLOW = {"ba64": ("distributive", "boolean")}
+
+
+@pytest.mark.parametrize("name", corpus.member_names())
+def test_corpus_members_match_the_old_routes(name):
+    assert_same_as_oracle(corpus.load(name))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_families_match_the_old_routes(name):
+    fast = tuple(check for check in REPORTS if check not in SLOW.get(name, ()))
+    assert_same_as_oracle(FAMILIES[name], fast)
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("name", SLOW)
+def test_slow_family_reports_match_the_old_routes(name):
+    assert_same_as_oracle(FAMILIES[name], SLOW[name])
+
+
+def test_every_small_poset_matches_the_old_routes():
+    posets = list(generate_small(7, "any", exhaustive=True))
+    assert len(posets) == 44
+    for poset in posets:
+        assert_same_as_oracle(poset)
+
+
+def test_population_matches_the_old_routes(population):
+    assert len(population) == 204
+    for row in population:
+        assert_same_as_oracle(row["poset"])
+
+
+def test_the_oracles_see_missing_suprema():
+    fig1b = corpus.load("fig1b")
+    assert scan_lattice_violation(fig1b) is not None
+    assert scan_join(fig1b, fig1b.mask(["a", "c"])) is None
+    with pytest.raises(NoRelativePseudocomplement):
+        scan_pseudocomplement_table(corpus.load("diamond"))
+
+
+@st.composite
+def strict_orders(draw):
+    """A poset on up to 7 points from random pairs i < j; bounds, an
+    involution and connectedness are not asked for."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return build_poset(range(n), chosen)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(strict_orders())
+def test_lookups_are_none_exactly_where_the_scans_are(poset):
+    assert_lookups_match(poset)
+    for kind in KINDS:
+        found = outcome(operator_pair, poset, kind)
+        assert found == outcome(chain_operator_pair, poset, kind)
+        if poset.bottom is None or poset.top is None:
+            assert found[0] is MissingBounds
+        elif kind != "relpseudo":
+            assert found[0] is MissingInvolution

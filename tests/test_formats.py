@@ -150,6 +150,27 @@ def test_json_version_and_shape_errors():
         parse_poset('{"elements": ["0", "0"]}')
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"', "null"])
+def test_json_format_must_be_the_integer_one(version):
+    with pytest.raises(ParseError, match="unsupported format version"):
+        parse_poset('{"format": %s, "elements": ["0"]}' % version)
+
+
+@pytest.mark.parametrize("metadata", [
+    '[["k", "v"]]', '"k=v"', "null", '{"k": null}', '{"k": [1, 2]}',
+    '{"k": 1}', '{"k": "v", "j": false}',
+])
+def test_json_metadata_must_be_an_object_of_strings(metadata):
+    with pytest.raises(ParseError, match="'metadata' must be an object of JSON strings"):
+        parse_poset_document('{"elements": ["0"], "metadata": %s}' % metadata)
+
+
+def test_json_metadata_keeps_its_strings():
+    doc = parse_poset_document('{"format": 1, "elements": ["0"], '
+                               '"metadata": {"k": "v", "j": ""}}')
+    assert doc.metadata == (("k", "v"), ("j", ""))
+
+
 def test_json_strings_are_not_arrays():
     for text in ('{"elements": "01", "covers": [["0", "1"]]}',
                  '{"elements": ["0", "1"], "covers": ["01"]}',
