@@ -82,7 +82,11 @@ def _distributive_report(lower_form: tuple | None, upper_form: tuple | None,
 
 
 def is_distributive_poset(poset: FinitePoset) -> CheckReport:
-    """Cone distributivity, checked through both displayed identities."""
+    """Cone distributivity, checked through both displayed identities; kept."""
+    return poset.kept(_distributive_poset_report)
+
+
+def _distributive_poset_report(poset: FinitePoset) -> CheckReport:
     return _distributive_report(_distributive_violation(poset, dual=False),
                                 _distributive_violation(poset, dual=True),
                                 poset.names.__getitem__)
@@ -115,45 +119,36 @@ def is_boolean_poset(poset: FinitePoset) -> CheckReport:
 
 def is_orthomodular_poset(poset: FinitePoset) -> CheckReport:
     """Orthogonal pairs have joins and ((x^y) v y')^ y = x^y holds,
-    meets taken through De Morgan.
+    each meet and join a principal lookup.
 
     The identity is evaluated only where its subterms exist; a missing
     subterm counts as a failure exactly on orthogonal pairs (where the
     axioms promise existence) and skips the pair otherwise.
     """
-    comp = is_complementation(poset)
-    if not comp.holds:
-        raise NotComplemented(f"orthomodularity needs a complementation ({comp.details})")
-    inv = poset.inv
-    names = poset.names
+    inv = poset.require_complementation("orthomodularity")
 
-    def join2(a: int, b: int) -> int | None:
-        return poset.join_of((1 << a) | (1 << b))
+    def fail(x: int, y: int, details: str) -> CheckReport:
+        return CheckReport("orthomodular-poset", False,
+                           witness={"x": poset.names[x], "y": poset.names[y]},
+                           details=details)
 
     for x in range(poset.n):
         for y in range(poset.n):
+            pair = (1 << x) | (1 << y)
             orthogonal = bool((poset.up[x] >> inv[y]) & 1)
-            if orthogonal and join2(x, y) is None:
-                return CheckReport("orthomodular-poset", False,
-                                   witness={"x": names[x], "y": names[y]},
-                                   details="orthogonal pair without a join")
-            j = join2(inv[x], inv[y])
-            if j is not None:
-                meet_xy = inv[j]
-                j = join2(meet_xy, inv[y])
+            if orthogonal and poset.join_of(pair) is None:
+                return fail(x, y, "orthogonal pair without a join")
+            meet_xy = poset.meet_of(pair)
+            if meet_xy is not None:
+                j = poset.join_of((1 << meet_xy) | (1 << inv[y]))
                 if j is not None:
-                    outer = join2(inv[j], inv[y])
+                    outer = poset.meet_of((1 << j) | (1 << y))
                     if outer is not None:
-                        if inv[outer] != meet_xy:
-                            return CheckReport(
-                                "orthomodular-poset", False,
-                                witness={"x": names[x], "y": names[y]},
-                                details="((x^y) v y') ^ y differs from x^y")
+                        if outer != meet_xy:
+                            return fail(x, y, "((x^y) v y') ^ y differs from x^y")
                         continue
             if orthogonal:
-                return CheckReport("orthomodular-poset", False,
-                                   witness={"x": names[x], "y": names[y]},
-                                   details="identity subterm undefined on an orthogonal pair")
+                return fail(x, y, "identity subterm undefined on an orthogonal pair")
     return CheckReport("orthomodular-poset", True)
 
 
@@ -246,9 +241,7 @@ def _pseudo_om_violation(poset: FinitePoset, dual: bool) -> tuple | None:
 
 def is_pseudo_orthomodular(poset: FinitePoset) -> CheckReport:
     """L(U(L(x,y),y'),y) = L(x,y) for all pairs, plus the dual form."""
-    comp = is_complementation(poset)
-    if not comp.holds:
-        raise NotComplemented(f"pseudo-orthomodularity needs a complementation ({comp.details})")
+    poset.require_complementation("pseudo-orthomodularity")
     lower_form = _pseudo_om_violation(poset, dual=False)
     upper_form = _pseudo_om_violation(poset, dual=True)
     if (lower_form is None) != (upper_form is None):
@@ -276,9 +269,7 @@ def is_strongly_d_continuous(poset: FinitePoset,
     which covers all subset pairs because both sides depend on (B, C)
     only through LU(B) and L(C).
     """
-    comp = is_complementation(poset)
-    if not comp.holds:
-        raise NotComplemented(f"strong D-continuity needs a complementation ({comp.details})")
+    poset.require_complementation("strong D-continuity")
     if lattice is None:
         lattice = complete(poset)
     bottom_mask = 1 << poset.bottom
@@ -303,9 +294,7 @@ def is_strongly_d_continuous(poset: FinitePoset,
 
 def naive_strongly_d_continuous(poset: FinitePoset) -> CheckReport:
     """Every-subset-pair version, for cross validation on small posets."""
-    comp = is_complementation(poset)
-    if not comp.holds:
-        raise NotComplemented("strong D-continuity needs a complementation")
+    poset.require_complementation("strong D-continuity")
     if poset.n > 14:
         raise SizeLimitExceeded(
             f"naive quantification is exponential; {poset.n} elements, at most 14")
@@ -336,9 +325,7 @@ def finch_criterion(poset: FinitePoset, lattice: DMLattice | None = None) -> Che
     Equivalent to the completion being an orthomodular lattice; the
     closed set of 0 alone is excluded from the quantification.
     """
-    comp = is_complementation(poset)
-    if not comp.holds:
-        raise NotComplemented(f"the criterion needs a complementation ({comp.details})")
+    poset.require_complementation("the criterion")
     if lattice is None:
         lattice = complete(poset)
     zero_closed = poset.closure(0)

@@ -271,7 +271,7 @@ def _cmd_corpus(args) -> int:
     names = args.member or list(corpus_mod.member_names())
     bad = 0
     for name in names:
-        problems = corpus_mod.verify_member(name)
+        problems = corpus_mod.verify_member(name, args.max_closed_sets)
         print(f"corpus: {name} {'ok' if not problems else 'MISMATCH'}")
         for text in problems:
             print(f"corpus:   {text}")

@@ -15,6 +15,7 @@ from typing import Callable, Iterable
 
 from .build import GreechieDiagram, greechie_to_omp
 from .checks import PROPERTIES, CheckContext, run_properties
+from .completion import DEFAULT_MAX_CLOSED_SETS
 from .errors import CorpusError, InternalError
 from .formats import parse_greechie, parse_poset
 from .poset import FinitePoset, build_poset
@@ -405,10 +406,10 @@ def profile_mismatches(
     return mismatches
 
 
-def verify_member(name: str) -> "list[str]":
-    """Run every registered property on one member and compare the
-    verdicts with its profile; mismatch texts start with the name."""
-    ctx = CheckContext(load(name))
+def verify_member(name: str, max_closed_sets: int = DEFAULT_MAX_CLOSED_SETS) -> "list[str]":
+    """Run every registered property on one member under the closed-set cap and
+    compare the verdicts with its profile; mismatch texts start with the name."""
+    ctx = CheckContext(load(name), max_closed_sets)
     results = [(prop, report)
                for prop, report, _ in run_properties(ctx, PROPERTIES)]
     return [f"{name}: {text}" for text in profile_mismatches(name, results)]

@@ -31,6 +31,7 @@ from .errors import (
     MissingInvolution,
     NotAFunction,
     NotALattice,
+    NotComplemented,
     PosetError,
 )
 from .report import CheckReport
@@ -73,7 +74,7 @@ class FinitePoset:
     """
 
     __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids",
-                 "_by_up", "_by_down", "_view", "_antitone", "_complementation")
+                 "_by_up", "_by_down", "_view", "_kept")
 
     def __init__(self, names: tuple[str, ...], up: tuple[int, ...],
                  inv: tuple[int, ...] | None = None):
@@ -114,8 +115,7 @@ class FinitePoset:
         self._by_up = None
         self._by_down = None
         self._view = None
-        self._antitone = None
-        self._complementation = None
+        self._kept = {}
 
     # -- element and subset helpers -------------------------------------
 
@@ -182,6 +182,18 @@ class FinitePoset:
         if self.bottom is None or self.top is None:
             raise MissingBounds("poset has no bottom or no top")
         return self.bottom, self.top
+
+    def require_complementation(self, what: str) -> tuple[int, ...]:
+        comp = is_complementation(self)
+        if not comp.holds:
+            raise NotComplemented(f"{what} needs a complementation ({comp.details})")
+        return self.inv
+
+    def kept(self, compute) -> CheckReport:
+        """The report ``compute(self)``, worked out once and kept on the poset."""
+        if compute not in self._kept:
+            self._kept[compute] = compute(self)
+        return self._kept[compute]
 
     # -- extrema ----------------------------------------------------------
 
@@ -325,11 +337,8 @@ def build_poset(names: Iterable[object], relation: Iterable[tuple[object, object
 
 
 def is_antitone_involution(poset: FinitePoset) -> CheckReport:
-    """Check x'' = x and that the involution reverses the order.  The
-    report is computed once per poset and kept on it."""
-    if poset._antitone is None:
-        poset._antitone = _antitone_report(poset)
-    return poset._antitone
+    """Check x'' = x and that the involution reverses the order; kept."""
+    return poset.kept(_antitone_report)
 
 
 def _antitone_report(poset: FinitePoset) -> CheckReport:
@@ -349,11 +358,8 @@ def _antitone_report(poset: FinitePoset) -> CheckReport:
 
 
 def is_complementation(poset: FinitePoset) -> CheckReport:
-    """Antitone involution with L(x,x') = {0} and U(x,x') = {1}.  The
-    report is computed once per poset and kept on it."""
-    if poset._complementation is None:
-        poset._complementation = _complementation_report(poset)
-    return poset._complementation
+    """Antitone involution with L(x,x') = {0} and U(x,x') = {1}; kept."""
+    return poset.kept(_complementation_report)
 
 
 def _complementation_report(poset: FinitePoset) -> CheckReport:

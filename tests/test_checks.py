@@ -104,10 +104,17 @@ def test_sdc_reduced_matches_naive_exhaustively(population):
 
 
 def test_sdc_reduced_matches_naive_on_corpus():
-    for name in ("chain2", "ba4", "mo2", "benzene", "mo3", "ba8"):
+    def verdict(check, poset):
+        try:
+            return check(poset).holds
+        except NotComplemented as exc:
+            return str(exc)
+
+    # chain3 is not complemented: both routes raise the same text
+    for name in ("chain2", "chain3", "ba4", "mo2", "benzene", "mo3", "ba8"):
         poset = corpus.load(name)
-        assert (is_strongly_d_continuous(poset).holds
-                == naive_strongly_d_continuous(poset).holds), name
+        assert (verdict(is_strongly_d_continuous, poset)
+                == verdict(naive_strongly_d_continuous, poset)), name
 
 
 def test_sdc_failure_witness_on_benzene():

@@ -118,6 +118,22 @@ def test_check_requested_property_with_failed_precondition(capsys):
     assert "precondition failed" in out
 
 
+def test_complementation_preconditions_name_what_failed(capsys):
+    code, out, _ = run(capsys, "check", "chain3")
+    assert code == 0
+    assert [line for line in out.splitlines() if "needs a complementation" in line] == [
+        f"skip: {name} - {what} needs a complementation (L(x,x') is not {{0}})"
+        for name, what in (("orthomodular-poset", "orthomodularity"),
+                           ("pseudo-orthomodular", "pseudo-orthomodularity"),
+                           ("strongly-d-continuous", "strong D-continuity"),
+                           ("finch", "the criterion"))]
+    code, out, _ = run(capsys, "check", "chain3", "--property", "pseudo-orthomodular")
+    assert code == 1
+    assert out.splitlines()[2] == (
+        "check: pseudo-orthomodular fail witness[error=pseudo-orthomodularity needs "
+        "a complementation (L(x,x') is not {0})] - precondition failed")
+
+
 def test_check_respects_completion_cap(capsys):
     code, out, _ = run(capsys, "check", "ba16",
                        "--property", "completion-orthomodular",
@@ -163,6 +179,22 @@ def test_complementation_is_computed_once_per_check(capsys, monkeypatch):
     fig3 = computed["_complementation_report"][0]
     assert poset_module.is_complementation(fig3) == real["_complementation_report"](fig3)
     assert poset_module.is_antitone_involution(fig3) == real["_antitone_report"](fig3)
+
+
+def test_cone_distributivity_is_computed_once_per_form(capsys, monkeypatch):
+    forms = []
+    real = checks._distributive_violation
+
+    def counting(poset, dual):
+        forms.append(dual)
+        return real(poset, dual)
+
+    monkeypatch.setattr(checks, "_distributive_violation", counting)
+    code, out, _ = run(capsys, "check", "ba16")
+    assert code == 0
+    assert "check: distributive pass" in out and "check: boolean pass" in out
+    # boolean reads the distributive report kept on the poset
+    assert forms == [False, True]
 
 
 # Breaks the dual distributivity form, so the two forms disagree on mo2.
@@ -385,6 +417,19 @@ def test_corpus_single_member(capsys):
     code, out, _ = run(capsys, "corpus", "--member", "fig1a")
     assert code == 0
     assert out.splitlines() == ["corpus: fig1a ok"]
+
+
+def test_corpus_member_respects_completion_cap(capsys):
+    code, out, _ = run(capsys, "check", "fig2", "--max-closed-sets", "2")
+    assert code == 1
+    mismatches = [line.removeprefix("profile: MISMATCH ")
+                  for line in out.splitlines() if "MISMATCH" in line]
+    assert len(mismatches) == 5
+    assert all(text.endswith("check was skipped") for text in mismatches)
+    code, out, _ = run(capsys, "corpus", "--member", "fig2", "--max-closed-sets", "2")
+    assert code == 1
+    assert out.splitlines() == ["corpus: fig2 MISMATCH",
+                                *(f"corpus:   fig2: {text}" for text in mismatches)]
 
 
 def test_corpus_reports_the_check_mismatch_texts(capsys, forged_mo2):
