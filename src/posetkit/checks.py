@@ -41,15 +41,30 @@ from .report import CheckReport
 
 def _distributive_violation(poset: FinitePoset, dual: bool) -> tuple | None:
     """First (x, y, z) with L(U(x,y),z) != LU(L(x,z),L(y,z)), or None;
-    the dual form swaps the lower and upper cones.  Each side is one
-    closure, as L(U(A),z) = LU(A) ∩ ↓z and L(x,z) = ↓x ∩ ↓z."""
+    the dual form swaps the lower and upper cones.  The left side is one
+    closure, as L(U(A),z) = LU(A) ∩ ↓z.  U turns unions into
+    intersections, so the right side is L(T[x][z] ∩ T[y][z]) with the
+    pair table T[a][z] = U(↓a ∩ ↓z): one AND per triple, and one lower
+    cone per distinct mask.  Both sides are symmetric in x and y, so a
+    pair y < x already passed as (y, x) and is skipped; the first
+    violation is the one the full walk meets first."""
     lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
                      else (poset.upper_cone, poset.lower_cone, poset.up))
-    for x in range(poset.n):
-        for y in range(poset.n):
+    n = poset.n
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for z in range(a, n):
+            table[a][z] = table[z][a] = up(below[a] & below[z])
+    lower = {}
+    for x in range(n):
+        row_x = table[x]
+        for y in range(x, n):
             closed = lo(up((1 << x) | (1 << y)))
-            for z in range(poset.n):
-                if closed & below[z] != lo(up((below[x] | below[y]) & below[z])):
+            for z, mask in enumerate(map(int.__and__, row_x, table[y])):
+                rhs = lower.get(mask)
+                if rhs is None:
+                    rhs = lower[mask] = lo(mask)
+                if closed & below[z] != rhs:
                     return (x, y, z)
     return None
 
@@ -227,14 +242,19 @@ def is_modular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
 def _pseudo_om_violation(poset: FinitePoset, dual: bool) -> tuple | None:
     """First (x, y) with L(U(L(x,y),y'),y) != L(x,y), or None; the dual
     form swaps the lower and upper cones.  The outer term is one closure,
-    LU(L(x,y),y') ∩ ↓y."""
+    LU(L(x,y),y') ∩ ↓y, worked out once per distinct L(x,y) ∪ {y'}."""
     inv = poset.inv
     lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
                      else (poset.upper_cone, poset.lower_cone, poset.up))
+    closures = {}
     for x in range(poset.n):
         for y in range(poset.n):
             pair = below[x] & below[y]
-            if lo(up(pair | (1 << inv[y]))) & below[y] != pair:
+            key = pair | 1 << inv[y]
+            closed = closures.get(key)
+            if closed is None:
+                closed = closures[key] = lo(up(key))
+            if closed & below[y] != pair:
                 return (x, y)
     return None
 

@@ -18,6 +18,7 @@ a completion or a generator went past its size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -319,7 +320,10 @@ def _add_cap(sub) -> None:
                      help="abort completions larger than N closed sets (N >= 1)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    building it costs about as much as a small command."""
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="Verify order-theoretic properties of finite bounded "

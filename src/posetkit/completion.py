@@ -59,9 +59,12 @@ class DMLattice:
                 raise InternalError("induced involution does not extend the base involution")
         if len(self.closed) <= 2000:
             up = self._up_rows()
-            for i in range(len(self.closed)):
-                for j in bits(up[i]):
-                    if not (up[star[j]] >> star[i]) & 1:
+            for i, row in enumerate(up):
+                image = 1 << star[i]
+                while row:
+                    low = row & -row
+                    row ^= low
+                    if not up[star[low.bit_length() - 1]] & image:
                         raise InternalError("induced involution is not antitone")
         return tuple(star)
 
@@ -71,13 +74,18 @@ class DMLattice:
         if self._up is None:
             holders = [0] * self.base.n
             for k, mask in enumerate(self.closed):
-                for e in bits(mask):
-                    holders[e] |= 1 << k
+                bit = 1 << k
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    holders[low.bit_length() - 1] |= bit
             rows = []
             for mask in self.closed:
                 row = (1 << len(self.closed)) - 1
-                for e in bits(mask):
-                    row &= holders[e]
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    row &= holders[low.bit_length() - 1]
                 rows.append(row)
             self._up = tuple(rows)
         return self._up

@@ -90,13 +90,16 @@ class FinitePoset:
         down = [0] * n
         for i in range(n):
             row = up[i]
-            for j in bits(row):
-                down[j] |= 1 << i
-        for i in range(n):
-            for j in bits(up[i]):
-                if i != j and (up[j] >> i) & 1:
+            bit = 1 << i
+            rest = row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                down[j] |= bit
+                if i != j and up[j] & bit:
                     raise CycleError(f"{names[i]} and {names[j]} are mutually comparable")
-                if up[j] & ~up[i]:
+                if up[j] & ~row:
                     raise PosetError(f"relation not transitive at {names[i]} <= {names[j]}")
         if inv is not None:
             if len(inv) != n or sorted(inv) != list(range(n)):
@@ -148,15 +151,21 @@ class FinitePoset:
 
     def lower_cone(self, subset: ElementSet) -> ElementSet:
         """All common lower bounds; the whole carrier for the empty set."""
+        down = self.down
         out = self.full
-        for i in bits(subset):
-            out &= self.down[i]
+        while subset:
+            low = subset & -subset
+            subset ^= low
+            out &= down[low.bit_length() - 1]
         return out
 
     def upper_cone(self, subset: ElementSet) -> ElementSet:
+        up = self.up
         out = self.full
-        for i in bits(subset):
-            out &= self.up[i]
+        while subset:
+            low = subset & -subset
+            subset ^= low
+            out &= up[low.bit_length() - 1]
         return out
 
     def closure(self, subset: ElementSet) -> ElementSet:
@@ -174,8 +183,10 @@ class FinitePoset:
     def inv_image(self, subset: ElementSet) -> ElementSet:
         inv = self.require_involution()
         out = 0
-        for i in bits(subset):
-            out |= 1 << inv[i]
+        while subset:
+            low = subset & -subset
+            subset ^= low
+            out |= 1 << inv[low.bit_length() - 1]
         return out
 
     def require_bounds(self) -> tuple[int, int]:

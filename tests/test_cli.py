@@ -18,7 +18,7 @@ from posetkit import (
 )
 from posetkit import poset as poset_module
 from posetkit import residuation
-from posetkit.cli import cli_main
+from posetkit.cli import _build_parser, cli_main
 from posetkit.corpus import boolean_algebra, load
 
 
@@ -32,6 +32,44 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert "posetkit 0.1.0" in out
+
+
+# ------------------------------------------------------------ parser reuse
+
+# Each command follows one whose arguments could leak into it through a
+# parser kept for the process: an appended --member list, a usage error,
+# a --property choice, the --version exit.
+REUSE_SEQUENCE = (
+    ("corpus", "--member", "ba4"),
+    ("corpus",),
+    ("corpus", "--member", "fig2"),
+    ("check", "fig1a", "--property", "no-such-property"),
+    ("check", "fig1a"),
+    ("check", "fig2"),
+    ("check", "fig2", "--property", "distributive"),
+    ("check", "fig2", "--max-closed-sets", "0"),
+    ("check", "fig2"),
+    ("--version",),
+    ("complete", "fig1b", "--style", "json"),
+)
+
+
+def test_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys):
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        return code, [l for l in out.splitlines() if not l.startswith("time-ms:")], err
+
+    reused = [outcome(argv) for argv in REUSE_SEQUENCE]
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 1, 2, 0, 0, 0]
 
 
 # --------------------------------------------------------------------- check

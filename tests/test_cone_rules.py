@@ -8,9 +8,14 @@ routes are kept here as oracles.  Every lookup must give the same element
 or the same None, and every report, witness included, and every operator
 table must come out the same.
 
+Cone distributivity used to take two closures per triple, and the
+pseudo-orthomodular identity one closure per pair; the pair table and
+the closure memo replaced them, and those walks are oracles here too:
+both forms must meet the same first violation, or none.
+
 The distributive and boolean reports of 2^6 take about ten seconds on
-both routes together, so that one comparison runs with the opt-in
-``exhaustive`` tier.
+both routes together, and the closure walk about four, so those
+comparisons run with the opt-in ``exhaustive`` tier.
 """
 
 import random
@@ -20,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from test_completion import crown
 
 from posetkit import checks, corpus
-from posetkit.build import generate_small
+from posetkit.build import generate_small, greechie_to_omp
 from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext
 from posetkit.completion import check_join_meet_density, complete
 from posetkit.errors import (
@@ -29,6 +34,7 @@ from posetkit.errors import (
     NoRelativePseudocomplement,
     NotComplemented,
 )
+from posetkit.formats import parse_greechie
 from posetkit.poset import FinitePoset, bits, build_poset, is_complementation, lattice_violation
 from posetkit.report import CheckReport
 from posetkit.residuation import (
@@ -118,6 +124,32 @@ def chain_pseudo_om_violation(poset, dual):
         for y in range(poset.n):
             below = lo((1 << x) | (1 << y))
             if lo(up(below | (1 << inv[y])) | (1 << y)) != below:
+                return (x, y)
+    return None
+
+
+def closure_distributive_violation(poset, dual):
+    """Two closures per triple, every triple in order."""
+    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
+                     else (poset.upper_cone, poset.lower_cone, poset.up))
+    for x in range(poset.n):
+        for y in range(poset.n):
+            closed = lo(up((1 << x) | (1 << y)))
+            for z in range(poset.n):
+                if closed & below[z] != lo(up((below[x] | below[y]) & below[z])):
+                    return (x, y, z)
+    return None
+
+
+def closure_pseudo_om_violation(poset, dual):
+    """One closure per pair."""
+    inv = poset.inv
+    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
+                     else (poset.upper_cone, poset.lower_cone, poset.up))
+    for x in range(poset.n):
+        for y in range(poset.n):
+            pair = below[x] & below[y]
+            if lo(up(pair | (1 << inv[y]))) & below[y] != pair:
                 return (x, y)
     return None
 
@@ -358,3 +390,62 @@ def test_lookups_are_none_exactly_where_the_scans_are(poset):
             assert found[0] is MissingBounds
         elif kind != "relpseudo":
             assert found[0] is MissingInvolution
+
+
+# -- the pair table and the closure memo against the walks ----------------------
+
+
+def greechie_loop(k):
+    """The pasting of k three-atom blocks in a loop of order k."""
+    atoms = [f"s{i}" for i in range(k)] + [f"p{i}" for i in range(k)]
+    blocks = "".join(f"block: s{(i - 1) % k} p{i} s{i}\n" for i in range(k))
+    return greechie_to_omp(parse_greechie("atoms: " + " ".join(atoms) + "\n" + blocks))
+
+
+def walk_families():
+    """The corpus, crowns S_3..S_10, 2^1..2^5, MO_1..MO_16, chains,
+    Greechie loops of order 4 to 6, and 600 seeded posets from each of
+    the ``any`` and ``complemented`` streams up to 12 elements."""
+    yield from map(corpus.load, corpus.member_names())
+    yield from map(crown, range(3, 11))
+    yield from map(corpus.boolean_algebra, range(1, 6))
+    yield from map(corpus.mo, range(1, 17))
+    yield from map(corpus.chain, (2, 3, 5, 9, 17))
+    yield from map(greechie_loop, range(4, 7))
+    for constraint, seed in (("any", 5), ("complemented", 6)):
+        stream = generate_small(12, constraint, seed=seed)
+        yield from (next(stream) for _ in range(600))
+
+
+def walks_agree(posets):
+    """Assert the same first violation from both routes, each form, and
+    count the walks that passed and failed."""
+    counts = {"pass": 0, "fail": 0}
+    for poset in posets:
+        walks = [(checks._distributive_violation, closure_distributive_violation)]
+        if poset.inv is not None:
+            walks.append((checks._pseudo_om_violation, closure_pseudo_om_violation))
+        for new, old in walks:
+            for dual in (False, True):
+                found = new(poset, dual)
+                assert found == old(poset, dual), (poset.names, new.__name__, dual)
+                counts["pass" if found is None else "fail"] += 1
+    return counts
+
+
+def test_pair_table_and_closure_memo_match_the_walks():
+    counts = walks_agree(walk_families())
+    # both outcomes are common, so a walk that always passes or always
+    # fails at its first triple would not go unseen
+    assert min(counts.values()) > 500, counts
+
+
+def test_pair_table_and_closure_memo_match_on_the_exhaustive_population(population):
+    posets = [row["poset"] for row in population]
+    posets += generate_small(7, "any", exhaustive=True)
+    assert all(walks_agree(posets).values())
+
+
+@pytest.mark.exhaustive
+def test_pair_table_matches_the_walk_on_ba64():
+    assert walks_agree([corpus.boolean_algebra(6)]) == {"pass": 4, "fail": 0}
