@@ -11,7 +11,7 @@ between the two routes is never a silent wrong answer.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .completion import DMLattice, complete, DEFAULT_MAX_CLOSED_SETS
 from .errors import (
@@ -167,6 +167,18 @@ def is_orthomodular_poset(poset: FinitePoset) -> CheckReport:
     return CheckReport("orthomodular-poset", True)
 
 
+def _exchange_violation(sets: Sequence[int], ups: Sequence[int], inv: Sequence[int],
+                        zero: int) -> tuple[int, int] | None:
+    """First x < y in the order, ids ascending, with x' ^ y = 0, or None.
+    Element k is the down-set sets[k], and ups[k] marks the ids above k."""
+    for x, row in enumerate(ups):
+        image = sets[inv[x]]
+        for y in bits(row & ~(1 << x)):
+            if sets[y] & image == zero:
+                return x, y
+    return None
+
+
 def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
     """Lattice orthomodularity via x v y = ((x v y) ^ y') v y, cross
     checked against the x <= y, x' ^ y = 0 implies x = y condition."""
@@ -174,6 +186,7 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
         if lattice.inv is None:
             raise MissingInvolution("completion carries no involution")
         view, inv, bottom, top = lattice.view, lattice.inv, lattice.bottom, lattice.top
+        sets, ups = lattice.closed, lattice.up_rows()
     else:
         if lattice.inv is not None:
             anti = is_antitone_involution(lattice)
@@ -182,6 +195,7 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
         view = lattice.view
         inv = lattice.require_involution()
         bottom, top = lattice.require_bounds()
+        sets, ups = lattice.down, lattice.up
     join, meet, size = view.join, view.meet, view.size
     for k in range(size):
         if meet[k][inv[k]] != bottom or join[k][inv[k]] != top:
@@ -196,14 +210,7 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
             if join[meet[top_xy][inv[y]]][y] != top_xy:
                 identity = (x, y)
                 break
-    exchange = None
-    for x in range(size):
-        if exchange:
-            break
-        for y in range(size):
-            if x != y and meet[x][y] == x and meet[inv[x]][y] == bottom:
-                exchange = (x, y)
-                break
+    exchange = _exchange_violation(sets, ups, inv, sets[bottom])
     if (identity is None) != (exchange is None):
         raise InternalError("orthomodular identity and exchange condition must agree")
     if identity is None:
@@ -287,29 +294,31 @@ def is_strongly_d_continuous(poset: FinitePoset,
     L(C united with B-images) = {0}.  The quantification is reduced to
     closed representatives: (B, C) = (X, U(Y)) over closed X inside Y,
     which covers all subset pairs because both sides depend on (B, C)
-    only through LU(B) and L(C).
+    only through LU(B) and L(C).  As inv(U(X)) = L(X-images) is X' in
+    the completion, this is its exchange condition, scanned over
+    ``DMLattice.up_rows()``: on a complemented poset it equals
+    ``completion-orthomodular``, with no use of pseudo-orthomodularity.
     """
     poset.require_complementation("strong D-continuity")
     if lattice is None:
         lattice = complete(poset)
-    bottom_mask = 1 << poset.bottom
-    upper_images = [poset.inv_image(poset.upper_cone(mask)) for mask in lattice.closed]
-    for i, x_mask in enumerate(lattice.closed):
+    closed, inv = lattice.closed, lattice.inv
+    zero = closed[lattice.bottom]
+    for k, mask in enumerate(closed):
         # one-line direction: valid outright in any complemented poset
-        if x_mask & upper_images[i] != bottom_mask:
+        if mask & closed[inv[k]] != zero:
             raise InternalError("a complemented poset cannot fail the backward direction")
-        for j, y_mask in enumerate(lattice.closed):
-            if i == j or x_mask & ~y_mask:
-                continue
-            if y_mask & upper_images[i] == bottom_mask:
-                return CheckReport(
-                    "strongly-d-continuous", False,
-                    witness={"B": poset.names_of(x_mask),
-                             "C": poset.names_of(poset.upper_cone(y_mask))},
-                    details="cone meets in 0 but some lower bound of C "
-                            "is not below some upper bound of B")
-    return CheckReport("strongly-d-continuous", True,
-                       details="infimum-is-zero read as L(C,B') = {0}")
+    pair = _exchange_violation(closed, lattice.up_rows(), inv, zero)
+    if pair is None:
+        return CheckReport("strongly-d-continuous", True,
+                           details="infimum-is-zero read as L(C,B') = {0}")
+    x, y = pair
+    return CheckReport(
+        "strongly-d-continuous", False,
+        witness={"B": poset.names_of(closed[x]),
+                 "C": poset.names_of(poset.upper_cone(closed[y]))},
+        details="cone meets in 0 but some lower bound of C "
+                "is not below some upper bound of B")
 
 
 def naive_strongly_d_continuous(poset: FinitePoset) -> CheckReport:

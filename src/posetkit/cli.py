@@ -44,7 +44,6 @@ from .errors import (
 from .formats import (
     export_dot,
     parse_greechie,
-    parse_poset,
     serialize_poset,
 )
 from .poset import FinitePoset
@@ -91,28 +90,27 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _read_input(arg: str) -> "tuple[str, str | None, str | None]":
+    """(input id, file name, text) of a bundled member name or a file
+    path; a member built in code has neither file name nor text."""
+    if arg in corpus_mod.member_names():
+        return arg, *(corpus_mod.bundled_text(arg) or (None, None))
+    path = Path(arg)
+    if not path.is_file():
+        raise _UsageError(f"{arg!r} is neither a bundled member nor a file")
+    return str(path), str(path), path.read_text(encoding="utf-8")
+
+
 def _load_poset_input(arg: str) -> "tuple[str, str, FinitePoset]":
     """Resolve a bundled member name or a file path.
 
     Returns (input id, content used for the digest, poset).
     """
-    if arg in corpus_mod.member_names():
+    input_id, filename, content = _read_input(arg)
+    if content is None:
         poset = corpus_mod.load(arg)
-        backed = corpus_mod.bundled_text(arg)
-        if backed is None:
-            content = serialize_poset(poset, metadata={"name": arg})
-        else:
-            content = backed[1]
-        return arg, content, poset
-    path = Path(arg)
-    if not path.is_file():
-        raise _UsageError(f"{arg!r} is neither a bundled member nor a file")
-    content = path.read_text(encoding="utf-8")
-    if path.suffix == ".greechie":
-        poset = greechie_to_omp(parse_greechie(content))
-    else:
-        poset = parse_poset(content)
-    return str(path), content, poset
+        return arg, serialize_poset(poset, metadata={"name": arg}), poset
+    return input_id, content, corpus_mod.parse_data(filename, content)
 
 
 def _write_document(text: str, output: "str | None", note: str) -> None:
@@ -220,17 +218,9 @@ def _cmd_residuate(args) -> int:
 
 
 def _cmd_greechie(args) -> int:
-    if args.input in corpus_mod.member_names():
-        backed = corpus_mod.bundled_text(args.input)
-        if backed is None or not backed[0].endswith(".greechie"):
-            raise _UsageError(f"{args.input!r} is not a block diagram")
-        input_id, content = args.input, backed[1]
-    else:
-        path = Path(args.input)
-        if not path.is_file():
-            raise _UsageError(
-                f"{args.input!r} is neither a bundled member nor a file")
-        input_id, content = str(path), path.read_text(encoding="utf-8")
+    input_id, filename, content = _read_input(args.input)
+    if args.input in corpus_mod.member_names() and not (filename or "").endswith(".greechie"):
+        raise _UsageError(f"{args.input!r} is not a block diagram")
     diagram = parse_greechie(content)
     report = RunReport(input_id, content)
     verdict = validate_greechie(diagram)

@@ -58,7 +58,7 @@ class DMLattice:
             if self.closed[star[self.embed[i]]] != base.down[base.inv[i]]:
                 raise InternalError("induced involution does not extend the base involution")
         if len(self.closed) <= 2000:
-            up = self._up_rows()
+            up = self.up_rows()
             for i, row in enumerate(up):
                 image = 1 << star[i]
                 while row:
@@ -68,7 +68,7 @@ class DMLattice:
                         raise InternalError("induced involution is not antitone")
         return tuple(star)
 
-    def _up_rows(self) -> tuple[int, ...]:
+    def up_rows(self) -> tuple[int, ...]:
         """Row i marks, by index, the closed sets that contain closed[i]:
         the AND over e in closed[i] of the closed sets holding e."""
         if self._up is None:
@@ -122,7 +122,7 @@ class DMLattice:
         lectic enumeration indices."""
         if self._poset is None:
             names = tuple(self.name_of(k) for k in range(len(self.closed)))
-            self._poset = FinitePoset(names, self._up_rows(), self.inv)
+            self._poset = FinitePoset(names, self.up_rows(), self.inv)
         return self._poset
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import PurePath
 from typing import Callable, Iterable
 
 from .build import GreechieDiagram, greechie_to_omp
@@ -153,10 +154,10 @@ def two_block_pasting() -> FinitePoset:
     return greechie_to_omp(diagram)
 
 
-def _load_fig(name: str) -> FinitePoset:
-    filename = _DATA_FILES[name]
-    text = _read_data(filename)
-    if filename.endswith(".greechie"):
+def parse_data(filename: str, text: str) -> FinitePoset:
+    """The poset in a file's text: a ``.greechie`` block diagram pasted
+    to its orthomodular poset, any other suffix a poset document."""
+    if PurePath(filename).suffix == ".greechie":
         return greechie_to_omp(parse_greechie(text))
     return parse_poset(text)
 
@@ -343,22 +344,22 @@ _register("diamond", diamond, "M3 lattice without involution")
 _register("twoblocks", two_block_pasting, "two pasted blocks, 12-element OML")
 _register(
     "fig1a",
-    lambda: _load_fig("fig1a"),
+    lambda: parse_data(*bundled_text("fig1a")),
     "14-element Boolean poset, not a lattice",
 )
 _register(
     "fig1b",
-    lambda: _load_fig("fig1b"),
+    lambda: parse_data(*bundled_text("fig1b")),
     "12-element Boolean poset, not a lattice",
 )
 _register(
     "fig2",
-    lambda: _load_fig("fig2"),
+    lambda: parse_data(*bundled_text("fig2")),
     "14-element pseudo-orthomodular poset, not Boolean",
 )
 _register(
     "fig3",
-    lambda: _load_fig("fig3"),
+    lambda: parse_data(*bundled_text("fig3")),
     "18-element orthomodular poset from a four-block loop",
 )
 

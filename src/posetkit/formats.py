@@ -62,7 +62,7 @@ def parse_poset_document(text: str) -> PosetDocument:
         offset = len(key) + 1
         if key == "format":
             value = rest.strip()
-            if not value.isdigit() or int(value) != FORMAT_VERSION:
+            if not (value.isascii() and value.isdigit()) or int(value) != FORMAT_VERSION:
                 raise ParseError(f"unsupported format version {value!r}",
                                  line=line_no, column=offset + 1)
             version = int(value)

@@ -103,6 +103,18 @@ def test_sdc_reduced_matches_naive_exhaustively(population):
         assert row["sdc"] == naive, poset.names
 
 
+def test_sdc_equals_completion_orthomodular(population):
+    """Strong D-continuity, read with L(C,B') = {0}, is the completion's
+    exchange condition, so on a complemented poset it is decided exactly
+    as completion-orthomodular, pseudo-orthomodular or not."""
+    seen = set()
+    for row in population:
+        assert row["sdc"] == row["completion_oml"], row["poset"].names
+        seen.add((row["sdc"], row["pom"]))
+    # both verdicts occur, and posets that are not pseudo-orthomodular too
+    assert {(True, True), (False, False)} <= seen
+
+
 def test_sdc_reduced_matches_naive_on_corpus():
     def verdict(check, poset):
         try:

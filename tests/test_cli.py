@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface via cli_main."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -307,6 +308,29 @@ def test_check_rejects_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 3
     assert "parse error" in err
+
+
+def test_non_ascii_format_digit_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "squared.poset"
+    path.write_text("format: ²\nelements: 0 1\ncovers: 0<1\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err == "posetkit: parse error: unsupported format version '²' (line 1, col 8)\n"
+
+
+def test_data_backed_member_is_read_once(capsys, monkeypatch):
+    import posetkit.corpus as corpus_mod
+
+    reads = []
+    real = corpus_mod._read_data
+    monkeypatch.setattr(corpus_mod, "_read_data",
+                        lambda filename: reads.append(filename) or real(filename))
+    code, out, _ = run(capsys, "check", "fig3", "--property", "lattice")
+    assert code == 1
+    assert reads == ["fig3.greechie"]
+    # the digest is still taken over the bundled text
+    digest = hashlib.sha256(real("fig3.greechie").encode("utf-8")).hexdigest()
+    assert f"input: fig3 sha256:{digest}" in out
 
 
 def test_check_report_is_deterministic(capsys):

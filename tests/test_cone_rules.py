@@ -13,6 +13,12 @@ pseudo-orthomodular identity one closure per pair; the pair table and
 the closure memo replaced them, and those walks are oracles here too:
 both forms must meet the same first violation, or none.
 
+Strong D-continuity used to walk every pair of closed sets against the
+involution images inv(U(X)), and lattice orthomodularity walked every
+pair of a meet table for its exchange condition.  One scan over the
+up-set rows replaced both; the two loops are oracles here, and must
+meet the same first pair and give the same reports.
+
 The distributive and boolean reports of 2^6 take about ten seconds on
 both routes together, and the closure walk about four, so those
 comparisons run with the opt-in ``exhaustive`` tier.
@@ -29,6 +35,7 @@ from posetkit.build import generate_small, greechie_to_omp
 from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext
 from posetkit.completion import check_join_meet_density, complete
 from posetkit.errors import (
+    InternalError,
     MissingBounds,
     MissingInvolution,
     NoRelativePseudocomplement,
@@ -234,6 +241,55 @@ def demorgan_orthomodular_poset(poset):
     return CheckReport("orthomodular-poset", True)
 
 
+def closed_pair_sdc_violation(poset, lattice):
+    """First closed X inside Y, X != Y, with Y ∩ inv(U(X)) = {0}, as
+    index pair: every pair of closed sets in order."""
+    bottom_mask = 1 << poset.bottom
+    upper_images = [poset.inv_image(poset.upper_cone(mask)) for mask in lattice.closed]
+    for i, x_mask in enumerate(lattice.closed):
+        # one-line direction: valid outright in any complemented poset
+        if x_mask & upper_images[i] != bottom_mask:
+            raise InternalError("a complemented poset cannot fail the backward direction")
+        for j, y_mask in enumerate(lattice.closed):
+            if i == j or x_mask & ~y_mask:
+                continue
+            if y_mask & upper_images[i] == bottom_mask:
+                return i, j
+    return None
+
+
+def closed_pair_strongly_d_continuous(poset, lattice=None):
+    poset.require_complementation("strong D-continuity")
+    if lattice is None:
+        lattice = complete(poset)
+    pair = closed_pair_sdc_violation(poset, lattice)
+    if pair is None:
+        return CheckReport("strongly-d-continuous", True,
+                           details="infimum-is-zero read as L(C,B') = {0}")
+    i, j = pair
+    return CheckReport(
+        "strongly-d-continuous", False,
+        witness={"B": poset.names_of(lattice.closed[i]),
+                 "C": poset.names_of(poset.upper_cone(lattice.closed[j]))},
+        details="cone meets in 0 but some lower bound of C "
+                "is not below some upper bound of B")
+
+
+def meet_table_exchange_violation(sets, ups, inv, zero):
+    """First x != y with x ^ y = x and x' ^ y = 0, every pair of ids in
+    order, read off the meet table of the lattice view: the meet of x
+    and y is the element whose down-set is sets[x] & sets[y].  ``ups``
+    is not read; it keeps the signature of the scan this replaces."""
+    index = {mask: k for k, mask in enumerate(sets)}
+    meet = [[index[a & b] for b in sets] for a in sets]
+    bottom = index[zero]
+    for x in range(len(sets)):
+        for y in range(len(sets)):
+            if x != y and meet[x][y] == x and meet[inv[x]][y] == bottom:
+                return x, y
+    return None
+
+
 # -- comparisons ----------------------------------------------------------------
 
 
@@ -402,19 +458,29 @@ def greechie_loop(k):
     return greechie_to_omp(parse_greechie("atoms: " + " ".join(atoms) + "\n" + blocks))
 
 
-def walk_families():
-    """The corpus, crowns S_3..S_10, 2^1..2^5, MO_1..MO_16, chains,
-    Greechie loops of order 4 to 6, and 600 seeded posets from each of
-    the ``any`` and ``complemented`` streams up to 12 elements."""
+def named_families(max_atoms):
+    """The corpus, crowns S_3..S_10, 2^1..2^max_atoms, MO_1..MO_16,
+    chains and Greechie loops of order 4 to 6."""
     yield from map(corpus.load, corpus.member_names())
     yield from map(crown, range(3, 11))
-    yield from map(corpus.boolean_algebra, range(1, 6))
+    yield from map(corpus.boolean_algebra, range(1, max_atoms + 1))
     yield from map(corpus.mo, range(1, 17))
     yield from map(corpus.chain, (2, 3, 5, 9, 17))
     yield from map(greechie_loop, range(4, 7))
-    for constraint, seed in (("any", 5), ("complemented", 6)):
+
+
+def seeded_streams(streams, count):
+    """``count`` seeded posets up to 12 elements from each stream."""
+    for constraint, seed in streams:
         stream = generate_small(12, constraint, seed=seed)
-        yield from (next(stream) for _ in range(600))
+        yield from (next(stream) for _ in range(count))
+
+
+def walk_families():
+    """The named families up to 2^5, and 600 seeded posets from each of
+    the ``any`` and ``complemented`` streams."""
+    yield from named_families(5)
+    yield from seeded_streams((("any", 5), ("complemented", 6)), 600)
 
 
 def walks_agree(posets):
@@ -449,3 +515,63 @@ def test_pair_table_and_closure_memo_match_on_the_exhaustive_population(populati
 @pytest.mark.exhaustive
 def test_pair_table_matches_the_walk_on_ba64():
     assert walks_agree([corpus.boolean_algebra(6)]) == {"pass": 4, "fail": 0}
+
+
+# -- the exchange scan against the closed-pair and meet-table loops -------------
+
+
+EXCHANGE_REPORTS = ("orthomodular-lattice", "strongly-d-continuous", "completion-orthomodular")
+
+
+def exchange_families():
+    """The named families up to 2^6, and 300 seeded posets from each of
+    the ``any``, ``complemented`` and ``pseudo_om`` streams."""
+    yield from named_families(6)
+    yield from seeded_streams((("any", 7), ("complemented", 8), ("pseudo_om", 9)), 300)
+
+
+def exchange_pairs(poset):
+    """(found, oracle) first pairs of every exchange scan the poset has:
+    strong D-continuity, the completion, and the poset as a lattice."""
+    pairs = []
+    lattice = outcome(complete, poset)
+    complemented = outcome(is_complementation, poset)
+    if isinstance(complemented, CheckReport) and complemented.holds:
+        zero = lattice.closed[lattice.bottom]
+        pairs.append((checks._exchange_violation(lattice.closed, lattice.up_rows(),
+                                                 lattice.inv, zero),
+                      closed_pair_sdc_violation(poset, lattice)))
+    tables = []
+    if not isinstance(lattice, tuple) and lattice.inv is not None:
+        tables.append((lattice.closed, lattice.up_rows(), lattice.inv, lattice.bottom))
+    if poset.inv is not None and lattice_violation(poset) is None:
+        tables.append((poset.down, poset.up, poset.inv, poset.bottom))
+    for sets, ups, inv, bottom in tables:
+        pairs.append((checks._exchange_violation(sets, ups, inv, sets[bottom]),
+                      meet_table_exchange_violation(sets, ups, inv, sets[bottom])))
+    return pairs
+
+
+def test_exchange_scan_meets_the_first_pair_of_the_loops():
+    counts = {"pass": 0, "fail": 0}
+    for poset in exchange_families():
+        for found, oracle in exchange_pairs(poset):
+            assert found == oracle, poset.names
+            counts["pass" if found is None else "fail"] += 1
+    # both outcomes are common, so a scan that always passes or always
+    # fails at its first pair would not go unseen
+    assert min(counts.values()) > 300, counts
+
+
+def test_exchange_reports_match_the_loops():
+    verdicts = {True: 0, False: 0, "undecided": 0}
+    for poset in exchange_families():
+        new = reports(fresh(poset), EXCHANGE_REPORTS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checks, "is_strongly_d_continuous", closed_pair_strongly_d_continuous)
+            patch.setattr(checks, "_exchange_violation", meet_table_exchange_violation)
+            assert reports(fresh(poset), EXCHANGE_REPORTS) == new, poset.names
+        for found in new:
+            verdicts[found.holds if isinstance(found, CheckReport) else "undecided"] += 1
+    # pass, fail and skip texts are all compared
+    assert min(verdicts.values()) > 100, verdicts

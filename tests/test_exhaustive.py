@@ -25,6 +25,7 @@ def test_equivalences_over_every_complemented_poset_up_to_the_cap():
         finch = PROPERTIES["finch"](ctx).holds
         oml = PROPERTIES["completion-orthomodular"](ctx).holds
         assert (sdc and pom) == finch == oml, poset.names
+        assert sdc == oml, poset.names
         assert naive_strongly_d_continuous(poset).holds == sdc, poset.names
 
 

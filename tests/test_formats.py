@@ -129,6 +129,14 @@ def test_unknown_section_position():
     assert _position(info.value) == (2, 1)
 
 
+@pytest.mark.parametrize("version", ["2", "²", "١", "1.0", "01x", ""])
+def test_plain_format_must_be_ascii_one(version):
+    # '²' and '١' are digits to str.isdigit, and int() takes '١' as 1
+    with pytest.raises(ParseError, match="unsupported format version") as info:
+        parse_poset(f"format: {version}\nelements: 0 1\ncovers: 0<1\n")
+    assert _position(info.value) == (1, 8)
+
+
 def test_document_without_elements():
     with pytest.raises(ParseError, match="declares no elements"):
         parse_poset("# nothing but a comment\n")
