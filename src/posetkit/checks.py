@@ -96,25 +96,79 @@ def _distributive_report(lower_form: tuple | None, upper_form: tuple | None,
                        details="L(U(x,y),z) differs from LU(L(x,z),L(y,z))")
 
 
+def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequence[int],
+                           dual: bool) -> bool:
+    """Whether some join-irreducible of a lattice is not join-prime.  The
+    lattice is given by closed sets of ``base`` and their upper cones
+    U(X), and its join-irreducibles are principal: the ↓x with
+    closure(↓x \\ {x}) != ↓x.  Such a j is join-prime exactly when
+    X ∨ ↓j, that is L(U(X) ∩ ↑j), holds no irreducible outside X ∪ ↓j,
+    for every closed X not containing j; one lower cone per distinct
+    U(X) ∩ ↑j.  The dual form swaps the cones and reads the lattice
+    through the U(X), so it asks the same of the meet-irreducibles."""
+    lo, up, below, above = ((base.lower_cone, base.upper_cone, base.down, base.up)
+                            if not dual else
+                            (base.upper_cone, base.lower_cone, base.up, base.down))
+    if dual:
+        sets, cones = cones, sets
+    irreducible = 0
+    for x in range(base.n):
+        if lo(up(below[x] ^ (1 << x))) != below[x]:
+            irreducible |= 1 << x
+    joins = {}
+    for closed, cone in zip(sets, cones):
+        for j in bits(irreducible & ~closed):
+            mask = cone & above[j]
+            joined = joins.get(mask)
+            if joined is None:
+                joined = joins[mask] = lo(mask)
+            if joined & irreducible & ~(closed | below[j]):
+                return True
+    return False
+
+
 def is_distributive_poset(poset: FinitePoset) -> CheckReport:
-    """Cone distributivity, checked through both displayed identities; kept."""
+    """Cone distributivity; kept.  On a lattice the cones are principal and
+    the identities are the distributive law, so Birkhoff's criterion
+    decides it; otherwise both displayed identities are walked."""
     return poset.kept(_distributive_poset_report)
 
 
 def _distributive_poset_report(poset: FinitePoset) -> CheckReport:
-    return _distributive_report(_distributive_violation(poset, dual=False),
-                                _distributive_violation(poset, dual=True),
-                                poset.names.__getitem__)
+    try:
+        poset.view
+    except NotALattice:
+        return _distributive_report(_distributive_violation(poset, dual=False),
+                                    _distributive_violation(poset, dual=True),
+                                    poset.names.__getitem__)
+    return is_distributive_lattice(poset)
 
 
 def is_distributive_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
-    """Cone distributivity of a lattice, both identities read off its
-    join and meet tables; same verdict and witness as
-    :func:`is_distributive_poset`."""
+    """Distributivity of a lattice by Birkhoff's criterion, every
+    join-irreducible join-prime (Davey & Priestley 2002), decided
+    once on the join- and once on the meet-irreducibles.  Only a failure
+    reads the join and meet tables, to name the first triple at which
+    the lattice forms of the cone identities differ: the same verdict
+    and witness as :func:`is_distributive_poset`."""
+    if isinstance(lattice, DMLattice):
+        base, sets = lattice.base, lattice.closed
+        cones = [base.upper_cone(mask) for mask in sets]
+    else:
+        lattice.view  # raises NotALattice naming the first pair without a join or meet
+        base, sets, cones = lattice, lattice.down, lattice.up
+    fails = _irreducible_not_prime(base, sets, cones, dual=False)
+    if fails != _irreducible_not_prime(base, sets, cones, dual=True):
+        raise InternalError("the join-prime and meet-prime criteria must agree")
+    if not fails:
+        return CheckReport("distributive", True)
     view = lattice.view
-    return _distributive_report(_lattice_distributive_violation(view, dual=False),
-                                _lattice_distributive_violation(view, dual=True),
-                                view.name_of)
+    report = _distributive_report(_lattice_distributive_violation(view, dual=False),
+                                  _lattice_distributive_violation(view, dual=True),
+                                  view.name_of)
+    if report.holds:
+        raise InternalError("a lattice failing Birkhoff's criterion must have a witness triple")
+    return report
 
 
 def is_boolean_poset(poset: FinitePoset) -> CheckReport:
@@ -133,14 +187,16 @@ def is_boolean_poset(poset: FinitePoset) -> CheckReport:
 
 
 def is_orthomodular_poset(poset: FinitePoset) -> CheckReport:
-    """Orthogonal pairs have joins and ((x^y) v y')^ y = x^y holds,
-    each meet and join a principal lookup.
+    """Orthogonal pairs have joins and ((x^y) v y')^ y = x^y holds.  The
+    cones of a pair are ↓a ∩ ↓b and ↑a ∩ ↑b, so each meet and join is one
+    principal lookup.
 
     The identity is evaluated only where its subterms exist; a missing
     subterm counts as a failure exactly on orthogonal pairs (where the
     axioms promise existence) and skips the pair otherwise.
     """
     inv = poset.require_complementation("orthomodularity")
+    up, down, by_up, by_down = poset.up, poset.down, poset.by_up, poset.by_down
 
     def fail(x: int, y: int, details: str) -> CheckReport:
         return CheckReport("orthomodular-poset", False,
@@ -149,15 +205,14 @@ def is_orthomodular_poset(poset: FinitePoset) -> CheckReport:
 
     for x in range(poset.n):
         for y in range(poset.n):
-            pair = (1 << x) | (1 << y)
-            orthogonal = bool((poset.up[x] >> inv[y]) & 1)
-            if orthogonal and poset.join_of(pair) is None:
+            orthogonal = bool((up[x] >> inv[y]) & 1)
+            if orthogonal and up[x] & up[y] not in by_up:
                 return fail(x, y, "orthogonal pair without a join")
-            meet_xy = poset.meet_of(pair)
+            meet_xy = by_down.get(down[x] & down[y])
             if meet_xy is not None:
-                j = poset.join_of((1 << meet_xy) | (1 << inv[y]))
+                j = by_up.get(up[meet_xy] & up[inv[y]])
                 if j is not None:
-                    outer = poset.meet_of((1 << j) | (1 << y))
+                    outer = by_down.get(down[j] & down[y])
                     if outer is not None:
                         if outer != meet_xy:
                             return fail(x, y, "((x^y) v y') ^ y differs from x^y")
@@ -179,46 +234,65 @@ def _exchange_violation(sets: Sequence[int], ups: Sequence[int], inv: Sequence[i
     return None
 
 
+def _completion_exchange_violation(lattice: DMLattice) -> tuple[int, int] | None:
+    """The exchange scan of a completion, kept on it: strong D-continuity
+    and completion orthomodularity read the same first pair."""
+    return _exchange_violation(lattice.closed, lattice.up_rows(), lattice.inv,
+                               lattice.closed[lattice.bottom])
+
+
 def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
     """Lattice orthomodularity via x v y = ((x v y) ^ y') v y, cross
-    checked against the x <= y, x' ^ y = 0 implies x = y condition."""
+    checked against the x <= y, x' ^ y = 0 implies x = y condition.
+
+    Element k is the down-set sets[k], found again by index[...], so a
+    meet is index[sets[a] & sets[b]] and a join, by De Morgan through
+    the involution, inv[index[sets[a'] & sets[b']]]: no table is built.
+    Through the involution the identity reads (a v y) ^ y' = a for
+    a = x' ^ y', and every a <= y' is such a meet (take x = a'), so it
+    is decided on the comparable pairs a <= y' alone; only a failure
+    walks all pairs (x, y) in order, to name the first.
+    """
     if isinstance(lattice, DMLattice):
         if lattice.inv is None:
             raise MissingInvolution("completion carries no involution")
-        view, inv, bottom, top = lattice.view, lattice.inv, lattice.bottom, lattice.top
-        sets, ups = lattice.closed, lattice.up_rows()
+        inv, bottom, top, name_of = lattice.inv, lattice.bottom, lattice.top, lattice.name_of
+        sets, index, ups = lattice.closed, lattice.index, lattice.up_rows()
     else:
         if lattice.inv is not None:
             anti = is_antitone_involution(lattice)
             if not anti.holds:
                 raise NotComplemented("involution is not antitone: " + anti.details)
-        view = lattice.view
+        lattice.view  # raises NotALattice naming the first pair without a join or meet
         inv = lattice.require_involution()
         bottom, top = lattice.require_bounds()
-        sets, ups = lattice.down, lattice.up
-    join, meet, size = view.join, view.meet, view.size
-    for k in range(size):
-        if meet[k][inv[k]] != bottom or join[k][inv[k]] != top:
-            raise NotComplemented(f"{view.name_of(k)} meets or joins its image improperly")
+        sets, index, ups = lattice.down, lattice.by_down, lattice.up
+        name_of = lattice.names.__getitem__
+    primes = [sets[k] for k in inv]  # primes[k] is the down-set of k'
+    for k, row in enumerate(sets):
+        meet = index[row & primes[k]]
+        if meet != bottom or inv[meet] != top:
+            raise NotComplemented(f"{name_of(k)} meets or joins its image improperly")
 
-    identity = None
-    for x in range(size):
-        if identity:
-            break
-        for y in range(size):
-            top_xy = join[x][y]
-            if join[meet[top_xy][inv[y]]][y] != top_xy:
-                identity = (x, y)
-                break
-    exchange = _exchange_violation(sets, ups, inv, sets[bottom])
-    if (identity is None) != (exchange is None):
+    # a v y is the image of a' ^ y', and z stands for y'
+    law = all(primes[index[primes[a] & sets[z]]] & sets[z] == sets[a]
+              for a, row in enumerate(ups) for z in bits(row))
+    if isinstance(lattice, DMLattice):
+        exchange = lattice.kept(_completion_exchange_violation)
+    else:
+        exchange = _exchange_violation(sets, ups, inv, sets[bottom])
+    if law != (exchange is None):
         raise InternalError("orthomodular identity and exchange condition must agree")
-    if identity is None:
+    if law:
         return CheckReport("orthomodular-lattice", True)
-    x, y = identity
-    return CheckReport("orthomodular-lattice", False,
-                       witness={"x": view.name_of(x), "y": view.name_of(y)},
-                       details="((x v y) ^ y') v y differs from x v y")
+    for x, prime_x in enumerate(primes):
+        for y, prime_y in enumerate(primes):
+            a = prime_x & prime_y
+            if primes[index[primes[index[a]] & prime_y]] & prime_y != a:
+                return CheckReport("orthomodular-lattice", False,
+                                   witness={"x": name_of(x), "y": name_of(y)},
+                                   details="((x v y) ^ y') v y differs from x v y")
+    raise InternalError("a failed orthomodular identity must have a witness pair")
 
 
 def find_modularity_violation(lattice: "FinitePoset | DMLattice") -> dict | None:
@@ -308,7 +382,7 @@ def is_strongly_d_continuous(poset: FinitePoset,
         # one-line direction: valid outright in any complemented poset
         if mask & closed[inv[k]] != zero:
             raise InternalError("a complemented poset cannot fail the backward direction")
-    pair = _exchange_violation(closed, lattice.up_rows(), inv, zero)
+    pair = lattice.kept(_completion_exchange_violation)
     if pair is None:
         return CheckReport("strongly-d-continuous", True,
                            details="infimum-is-zero read as L(C,B') = {0}")

@@ -297,11 +297,23 @@ def _cmd_export(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: ASCII digits after an optional
+    minus sign.  int() alone also takes '٣', '3_0', ' 3 ' and '+3'."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _cap(text: str) -> int:
     """The --max-closed-sets value: an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"N must be an integer of at least 1, not {text!r}")
-    return int(text)
+    try:
+        if _integer(text) >= 1:
+            return int(text)
+    except argparse.ArgumentTypeError:
+        pass
+    raise argparse.ArgumentTypeError(f"N must be an integer of at least 1, not {text!r}")
 
 
 def _add_cap(sub) -> None:
@@ -365,10 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--member", action="append",
                    choices=sorted(corpus_mod.member_names()),
                    help="restrict to one member (repeatable)")
-    p.add_argument("--generate", type=int, default=0, metavar="N",
+    p.add_argument("--generate", type=_integer, default=0, metavar="N",
                    help="also test N generated complemented posets")
-    p.add_argument("--seed", type=int, help="generator seed")
-    p.add_argument("--max-size", type=int, default=8, metavar="K",
+    p.add_argument("--seed", type=_integer, help="generator seed")
+    p.add_argument("--max-size", type=_integer, default=8, metavar="K",
                    help="largest generated poset")
     _add_cap(p)
     p.set_defaults(func=_cmd_corpus)

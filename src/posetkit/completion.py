@@ -22,7 +22,7 @@ class DMLattice:
     """Completion of ``base``: all closed subsets in lectic order."""
 
     __slots__ = ("base", "closed", "index", "embed", "inv", "bottom", "top",
-                 "_up", "_poset", "_view")
+                 "_up", "_poset", "_view", "_kept")
 
     def __init__(self, base: FinitePoset, closed: list[int]):
         self.base = base
@@ -35,6 +35,7 @@ class DMLattice:
         self._up = None
         self._poset = None
         self._view = None
+        self._kept = {}
         if base.inv is not None and is_antitone_involution(base).holds:
             self.inv = self._lifted_involution()
 
@@ -67,6 +68,13 @@ class DMLattice:
                     if not up[star[low.bit_length() - 1]] & image:
                         raise InternalError("induced involution is not antitone")
         return tuple(star)
+
+    def kept(self, compute):
+        """The result ``compute(self)``, worked out once and kept on the
+        completion."""
+        if compute not in self._kept:
+            self._kept[compute] = compute(self)
+        return self._kept[compute]
 
     def up_rows(self) -> tuple[int, ...]:
         """Row i marks, by index, the closed sets that contain closed[i]:

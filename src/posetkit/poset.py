@@ -239,15 +239,23 @@ class FinitePoset:
     @property
     def view(self) -> "LatticeView":
         """Join and meet tables of principal lookups, built on first use.
-        Raises NotALattice naming the first pair without a join or a meet."""
+        Raises NotALattice naming the first pair without a join or a meet;
+        the building stops at the first row that lacks one, and the
+        failure is kept and raised again on every later access."""
         if self._view is None:
             by_up, by_down = self.by_up, self.by_down
-            join = [[by_up.get(row & other) for other in self.up] for row in self.up]
-            meet = [[by_down.get(row & other) for other in self.down] for row in self.down]
-            if any(None in row for row in join) or any(None in row for row in meet):
-                bad = lattice_violation(self)
-                raise NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
-            self._view = LatticeView(join, meet, self.names.__getitem__)
+            join, meet = [], []
+            for up_row, down_row in zip(self.up, self.down):
+                join.append([by_up.get(up_row & other) for other in self.up])
+                meet.append([by_down.get(down_row & other) for other in self.down])
+                if None in join[-1] or None in meet[-1]:
+                    bad = lattice_violation(self)
+                    self._view = NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
+                    break
+            else:
+                self._view = LatticeView(join, meet, self.names.__getitem__)
+        if isinstance(self._view, NotALattice):
+            raise self._view.with_traceback(None)
         return self._view
 
     # -- small derived data ------------------------------------------------

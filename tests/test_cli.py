@@ -220,6 +220,24 @@ def test_complementation_is_computed_once_per_check(capsys, monkeypatch):
     assert poset_module.is_antitone_involution(fig3) == real["_antitone_report"](fig3)
 
 
+def test_distributivity_criterion_is_decided_once_per_form(capsys, monkeypatch):
+    forms = []
+    real = checks._irreducible_not_prime
+
+    def counting(base, sets, cones, dual):
+        forms.append((dual, sets is base.down))
+        return real(base, sets, cones, dual)
+
+    monkeypatch.setattr(checks, "_irreducible_not_prime", counting)
+    code, out, _ = run(capsys, "check", "ba16")
+    assert code == 0
+    assert "check: distributive pass" in out and "check: boolean pass" in out
+    # distributive decides both forms on the lattice itself, boolean reads
+    # the report kept on the poset, completion-distributive decides both
+    # forms again on the closed sets of the completion
+    assert forms == [(False, True), (True, True), (False, False), (True, False)]
+
+
 def test_cone_distributivity_is_computed_once_per_form(capsys, monkeypatch):
     forms = []
     real = checks._distributive_violation
@@ -229,14 +247,52 @@ def test_cone_distributivity_is_computed_once_per_form(capsys, monkeypatch):
         return real(poset, dual)
 
     monkeypatch.setattr(checks, "_distributive_violation", counting)
-    code, out, _ = run(capsys, "check", "ba16")
+    code, out, _ = run(capsys, "check", "fig2")
     assert code == 0
-    assert "check: distributive pass" in out and "check: boolean pass" in out
-    # boolean reads the distributive report kept on the poset
+    assert "check: distributive fail" in out and "check: boolean fail" in out
+    # fig2 is no lattice, so the pair-table walks decide it; boolean reads
+    # the report kept on the poset
     assert forms == [False, True]
 
 
-# Breaks the dual distributivity form, so the two forms disagree on mo2.
+def assert_broken_invariant_exits_4(capsys, breakage, member, message):
+    """The library raises InternalError, cli_main exits 4 with the
+    message, and so does a ``python -O`` run of the same breakage."""
+    code, out, err = run(capsys, "check", member, "--property", "distributive")
+    assert (code, out) == (4, "")
+    assert err == f"posetkit: internal error: {message}\n"
+    src = str(Path(posetkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = breakage + (
+        "from posetkit.cli import cli_main\n"
+        f"raise SystemExit(cli_main(['check', '{member}', '--property', 'distributive']))\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert f"internal error: {message}" in done.stderr
+
+
+# Breaks the meet-prime form, so the two criteria disagree on mo2.
+_BREAK_CRITERION = """
+from posetkit import checks
+real = checks._irreducible_not_prime
+checks._irreducible_not_prime = (
+    lambda base, sets, cones, dual: False if dual else real(base, sets, cones, dual))
+"""
+
+
+def test_broken_criterion_is_an_internal_error(capsys, monkeypatch):
+    real = checks._irreducible_not_prime
+    monkeypatch.setattr(checks, "_irreducible_not_prime",
+                        lambda base, sets, cones, dual:
+                        False if dual else real(base, sets, cones, dual))
+    with pytest.raises(InternalError, match="join-prime and meet-prime criteria must agree"):
+        checks.is_distributive_poset(load("mo2"))
+    assert_broken_invariant_exits_4(capsys, _BREAK_CRITERION, "mo2",
+                                    "the join-prime and meet-prime criteria must agree")
+
+
+# Breaks the dual distributivity form, so the two forms disagree on fig2.
 _BREAK_DISTRIBUTIVITY = """
 from posetkit import checks
 real = checks._distributive_violation
@@ -249,21 +305,19 @@ def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(checks, "_distributive_violation",
                         lambda poset, dual: None if dual else real(poset, dual))
     with pytest.raises(InternalError, match="distributivity identities must agree"):
-        checks.is_distributive_poset(load("mo2"))
-    code, out, err = run(capsys, "check", "mo2", "--property", "distributive")
+        checks.is_distributive_poset(load("fig2"))
+    assert_broken_invariant_exits_4(capsys, _BREAK_DISTRIBUTIVITY, "fig2",
+                                    "the two distributivity identities must agree")
+
+
+def test_criterion_failure_without_a_witness_is_an_internal_error(capsys, monkeypatch):
+    # both forms of the criterion fail ba16, which the walks find distributive
+    monkeypatch.setattr(checks, "_irreducible_not_prime", lambda *args, **kwargs: True)
+    with pytest.raises(InternalError, match="must have a witness triple"):
+        checks.is_distributive_poset(load("ba16"))
+    code, out, err = run(capsys, "check", "ba8", "--property", "completion-distributive")
     assert (code, out) == (4, "")
-    assert err == ("posetkit: internal error: "
-                   "the two distributivity identities must agree\n")
-    # the same breakage with asserts stripped out
-    src = str(Path(posetkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    script = _BREAK_DISTRIBUTIVITY + (
-        "from posetkit.cli import cli_main\n"
-        "raise SystemExit(cli_main(['check', 'mo2', '--property', 'distributive']))\n")
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (4, "")
-    assert "internal error: the two distributivity" in done.stderr
+    assert "must have a witness triple" in err
 
 
 _FLAG_EVERY_COLUMN = """
@@ -373,11 +427,12 @@ def test_complete_respects_cap(capsys):
     ("check", "fig3"), ("complete", "fig3"), ("residuate", "fig3", "--kind", "boolean"),
     ("corpus", "--member", "chain2"), ("export", "fig3", "--completion"),
 ])
-@pytest.mark.parametrize("cap", ["0", "-5", "+5", "many"])
+# int() would take the last four as 3, 3, 30 and 3
+@pytest.mark.parametrize("cap", ["0", "-5", "+5", "many", "٣", "３", "3_0", " 3 "])
 def test_caps_below_one_are_usage_errors(capsys, argv, cap):
     code, out, err = run(capsys, *argv, "--max-closed-sets", cap)
     assert (code, out) == (2, "")
-    assert f"argument --max-closed-sets: N must be an integer of at least 1, not '{cap}'" in err
+    assert f"argument --max-closed-sets: N must be an integer of at least 1, not {cap!r}" in err
     assert "size limit" not in err
 
 
@@ -513,6 +568,23 @@ def test_corpus_rejects_out_of_range_generation(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("option", ["--generate", "--seed", "--max-size"])
+@pytest.mark.parametrize("value", ["٣", "３", "3_0", " 3 ", "+3", "3\n", "-", ""])
+def test_corpus_integer_options_take_ascii_digits_only(capsys, option, value):
+    argv = {"--generate": "2", "--seed": "1", "--max-size": "6", option: value}
+    code, out, err = run(capsys, "corpus", "--member", "chain2",
+                         *(part for pair in argv.items() for part in pair))
+    assert (code, out) == (2, "")
+    assert f"argument {option}: invalid int value: {value!r}" in err
+
+
+def test_corpus_seed_takes_a_minus_sign(capsys):
+    code, out, _ = run(capsys, "corpus", "--member", "chain2",
+                       "--generate", "2", "--seed", "-3", "--max-size", "6")
+    assert code == 0
+    assert "generated: 2 complemented posets, 0 discrepancies" in out
 
 
 def test_corpus_generate_requires_seed(capsys):

@@ -19,9 +19,18 @@ pair of a meet table for its exchange condition.  One scan over the
 up-set rows replaced both; the two loops are oracles here, and must
 meet the same first pair and give the same reports.
 
-The distributive and boolean reports of 2^6 take about ten seconds on
-both routes together, and the closure walk about four, so those
-comparisons run with the opt-in ``exhaustive`` tier.
+Lattice distributivity used to walk all triples of the join and meet
+tables, on a lattice poset and on a completion; Birkhoff's criterion on
+the irreducibles replaced it.  Lattice orthomodularity used to read the
+same tables, and the orthomodular-poset identity its meets and joins
+through ``meet_of`` and ``join_of``; index and principal lookups
+replaced them.  Those walks and loops are oracles here: every report,
+witness and precondition error must come out the same, and each form of
+the criterion must fail exactly where the walks find a triple.
+
+The distributive and boolean reports of 2^6 by the chain walks take
+several seconds, and the closure walk about four, so those comparisons
+run with the opt-in ``exhaustive`` tier.
 """
 
 import random
@@ -33,7 +42,7 @@ from test_completion import crown
 from posetkit import checks, corpus
 from posetkit.build import generate_small, greechie_to_omp
 from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext
-from posetkit.completion import check_join_meet_density, complete
+from posetkit.completion import DMLattice, check_join_meet_density, complete
 from posetkit.errors import (
     InternalError,
     MissingBounds,
@@ -42,7 +51,14 @@ from posetkit.errors import (
     NotComplemented,
 )
 from posetkit.formats import parse_greechie
-from posetkit.poset import FinitePoset, bits, build_poset, is_complementation, lattice_violation
+from posetkit.poset import (
+    FinitePoset,
+    bits,
+    build_poset,
+    is_antitone_involution,
+    is_complementation,
+    lattice_violation,
+)
 from posetkit.report import CheckReport
 from posetkit.residuation import (
     KINDS,
@@ -345,6 +361,7 @@ def assert_same_as_oracle(poset, names=REPORTS):
         patch.setattr(FinitePoset, "join_of", scan_join)
         patch.setattr(FinitePoset, "meet_of", scan_meet)
         patch.setattr(checks, "_distributive_violation", chain_distributive_violation)
+        patch.setattr(checks, "_distributive_poset_report", walked_distributive_poset)
         patch.setattr(checks, "_pseudo_om_violation", chain_pseudo_om_violation)
         assert reports(fresh(poset), names) == new
     for kind in KINDS:
@@ -575,3 +592,160 @@ def test_exchange_reports_match_the_loops():
             verdicts[found.holds if isinstance(found, CheckReport) else "undecided"] += 1
     # pass, fail and skip texts are all compared
     assert min(verdicts.values()) > 100, verdicts
+
+
+# -- the lattice laws against the table walks ----------------------------------
+
+
+def walked_distributive_poset(poset):
+    """Cone distributivity by the two pair-table walks, lattice or not."""
+    return checks._distributive_report(checks._distributive_violation(poset, dual=False),
+                                       checks._distributive_violation(poset, dual=True),
+                                       poset.names.__getitem__)
+
+
+def walked_distributive_lattice(lattice):
+    """Lattice distributivity by the two first-triple walks over the
+    join and meet tables of the view."""
+    view = lattice.view
+    return checks._distributive_report(checks._lattice_distributive_violation(view, dual=False),
+                                       checks._lattice_distributive_violation(view, dual=True),
+                                       view.name_of)
+
+
+def table_orthomodular_lattice(lattice):
+    """Lattice orthomodularity with the complement guard and the identity
+    walked over the join and meet tables of the view."""
+    if isinstance(lattice, DMLattice):
+        if lattice.inv is None:
+            raise MissingInvolution("completion carries no involution")
+        view, inv, bottom, top = lattice.view, lattice.inv, lattice.bottom, lattice.top
+        sets, ups = lattice.closed, lattice.up_rows()
+    else:
+        if lattice.inv is not None:
+            anti = is_antitone_involution(lattice)
+            if not anti.holds:
+                raise NotComplemented("involution is not antitone: " + anti.details)
+        view = lattice.view
+        inv = lattice.require_involution()
+        bottom, top = lattice.require_bounds()
+        sets, ups = lattice.down, lattice.up
+    join, meet, size = view.join, view.meet, view.size
+    for k in range(size):
+        if meet[k][inv[k]] != bottom or join[k][inv[k]] != top:
+            raise NotComplemented(f"{view.name_of(k)} meets or joins its image improperly")
+    identity = None
+    for x in range(size):
+        if identity:
+            break
+        for y in range(size):
+            top_xy = join[x][y]
+            if join[meet[top_xy][inv[y]]][y] != top_xy:
+                identity = (x, y)
+                break
+    exchange = checks._exchange_violation(sets, ups, inv, sets[bottom])
+    if (identity is None) != (exchange is None):
+        raise InternalError("orthomodular identity and exchange condition must agree")
+    if identity is None:
+        return CheckReport("orthomodular-lattice", True)
+    x, y = identity
+    return CheckReport("orthomodular-lattice", False,
+                       witness={"x": view.name_of(x), "y": view.name_of(y)},
+                       details="((x v y) ^ y') v y differs from x v y")
+
+
+def suprema_orthomodular_poset(poset):
+    """The orthomodular-poset check with every meet and join taken by
+    ``meet_of`` and ``join_of`` on a two-element mask."""
+    inv = poset.require_complementation("orthomodularity")
+
+    def fail(x, y, details):
+        return CheckReport("orthomodular-poset", False,
+                           witness={"x": poset.names[x], "y": poset.names[y]},
+                           details=details)
+
+    for x in range(poset.n):
+        for y in range(poset.n):
+            pair = (1 << x) | (1 << y)
+            orthogonal = bool((poset.up[x] >> inv[y]) & 1)
+            if orthogonal and poset.join_of(pair) is None:
+                return fail(x, y, "orthogonal pair without a join")
+            meet_xy = poset.meet_of(pair)
+            if meet_xy is not None:
+                j = poset.join_of((1 << meet_xy) | (1 << inv[y]))
+                if j is not None:
+                    outer = poset.meet_of((1 << j) | (1 << y))
+                    if outer is not None:
+                        if outer != meet_xy:
+                            return fail(x, y, "((x^y) v y') ^ y differs from x^y")
+                        continue
+            if orthogonal:
+                return fail(x, y, "identity subterm undefined on an orthogonal pair")
+    return CheckReport("orthomodular-poset", True)
+
+
+LATTICE_REPORTS = ("distributive", "boolean", "orthomodular-poset", "orthomodular-lattice",
+                   "strongly-d-continuous", "completion-orthomodular",
+                   "completion-distributive")
+
+
+def lattice_law_families():
+    """The corpus, crowns S_3..S_8, 2^1..2^6, MO_1..MO_16, chains,
+    Greechie loops of order 4 to 6, and 300 seeded posets from each of
+    the ``any``, ``complemented`` and ``pseudo_om`` streams."""
+    yield from map(corpus.load, corpus.member_names())
+    yield from map(crown, range(3, 9))
+    yield from map(corpus.boolean_algebra, range(1, 7))
+    yield from map(corpus.mo, range(1, 17))
+    yield from map(corpus.chain, (2, 3, 5, 9, 17))
+    yield from map(greechie_loop, range(4, 7))
+    yield from seeded_streams((("any", 10), ("complemented", 11), ("pseudo_om", 12)), 300)
+
+
+def assert_each_criterion_form_matches(poset, walked):
+    """Each form of Birkhoff's criterion fails exactly where the walks
+    found a triple: on the poset when it is a lattice, and on its
+    completion.  ``walked`` maps report names to the walks' reports."""
+    lattices = []
+    if lattice_violation(poset) is None:
+        lattices.append((poset.down, poset.up, walked["distributive"]))
+    lattice = outcome(complete, poset)
+    if isinstance(lattice, DMLattice):
+        cones = [poset.upper_cone(mask) for mask in lattice.closed]
+        lattices.append((lattice.closed, cones, walked["completion-distributive"]))
+    for sets, cones, report in lattices:
+        for dual in (False, True):
+            assert checks._irreducible_not_prime(poset, sets, cones, dual) != report.holds
+
+
+def assert_lattice_laws_match(posets):
+    """The same reports, witnesses and precondition errors by the
+    criteria and lookups as by the table walks; returns the count of
+    each verdict."""
+    verdicts = {True: 0, False: 0, "undecided": 0}
+    for poset in posets:
+        new = reports(fresh(poset), LATTICE_REPORTS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checks, "_distributive_poset_report", walked_distributive_poset)
+            patch.setattr(checks, "is_distributive_lattice", walked_distributive_lattice)
+            patch.setattr(checks, "is_orthomodular_lattice", table_orthomodular_lattice)
+            patch.setattr(checks, "is_orthomodular_poset", suprema_orthomodular_poset)
+            walked = reports(fresh(poset), LATTICE_REPORTS)
+        assert walked == new, poset.names
+        assert_each_criterion_form_matches(poset, dict(zip(LATTICE_REPORTS, walked)))
+        for found in new:
+            verdicts[found.holds if isinstance(found, CheckReport) else "undecided"] += 1
+    return verdicts
+
+
+def test_lattice_laws_match_the_table_walks():
+    verdicts = assert_lattice_laws_match(lattice_law_families())
+    # pass, fail and skip texts are all compared
+    assert min(verdicts.values()) > 300, verdicts
+
+
+def test_lattice_laws_match_the_table_walks_on_the_population(population):
+    assert len(population) == 204
+    # every member of the population is a lattice, so nothing is undecided
+    verdicts = assert_lattice_laws_match(row["poset"] for row in population)
+    assert verdicts[True] and verdicts[False], verdicts

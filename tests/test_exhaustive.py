@@ -3,9 +3,11 @@ exhaustive size cap.  Opt-in: deselected by default, run with
 ``python -m pytest -m exhaustive``."""
 
 import pytest
+from test_completion import crown
 
 from posetkit.build import EXHAUSTIVE_SIZE_CAP, generate_small
-from posetkit.checks import PROPERTIES, CheckContext, naive_strongly_d_continuous
+from posetkit.checks import PROPERTIES, CheckContext, naive_strongly_d_continuous, run_check
+from posetkit.corpus import boolean_algebra
 from posetkit.residuation import (
     bdm_transform,
     verify_left_residuated_lattice,
@@ -47,3 +49,11 @@ def test_residuation_over_every_complemented_poset_up_to_the_cap():
             pom_count += 1
             assert verify_operator_left_residuation(poset, "pseudo_om").holds, poset.names
     assert pom_count == 5
+
+
+def test_lattice_laws_of_the_completion_cliffs():
+    """Birkhoff's criterion decides both in milliseconds.  The triple walk
+    over the tables took minutes on crown10's completion, so a return to
+    it overruns the CI job's timeout."""
+    assert run_check("completion-distributive", crown(10)).holds
+    assert run_check("distributive", boolean_algebra(7)).holds

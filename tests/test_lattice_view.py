@@ -9,12 +9,14 @@ the same report, witness included, and bdm_transform the same tables.
 import pytest
 
 from posetkit import corpus
+from posetkit import poset as poset_module
 from posetkit.checks import (
     PROPERTIES,
     CheckContext,
     find_modularity_violation,
     is_distributive_lattice,
     is_distributive_poset,
+    run_properties,
 )
 from posetkit.completion import DMLattice, complete
 from posetkit.errors import MissingInvolution, NotALattice, NotComplemented, PosetError
@@ -183,6 +185,34 @@ def test_non_lattices_raise_the_witness_message():
             with pytest.raises(NotALattice) as caught:
                 run()
             assert str(caught.value) == message
+
+
+def test_a_non_lattice_view_is_refused_once(monkeypatch):
+    fig3 = corpus.load("fig3")
+    calls = []
+    real = poset_module.lattice_violation
+    monkeypatch.setattr(poset_module, "lattice_violation",
+                        lambda poset: calls.append(poset) or real(poset))
+    ctx = CheckContext(fig3)
+    names = ("modular", "orthomodular-lattice", "distributive", "modular")
+    assert [exc for _, _, exc in run_properties(ctx, names)].count(None) == 1
+    with pytest.raises(NotALattice) as caught:
+        fig3.view
+    bad = real(fig3)
+    assert str(caught.value) == f"{bad['x']}, {bad['y']} have no {bad['missing']}"
+    # the first access found the missing join or meet; the rest reuse it
+    assert calls == [fig3]
+
+
+def test_passing_completion_laws_read_no_view(monkeypatch):
+    read = []
+    monkeypatch.setattr(DMLattice, "view", property(read.append))
+    for name, props in (("fig1a", ("completion-distributive", "completion-orthomodular")),
+                        ("ba16", ("completion-distributive", "completion-orthomodular")),
+                        ("fig2", ("completion-orthomodular", "strongly-d-continuous"))):
+        ctx = CheckContext(corpus.load(name))
+        assert all(PROPERTIES[prop](ctx).holds for prop in props), name
+    assert read == []
 
 
 def test_distributive_lattice_agrees_with_the_cone_form():
