@@ -22,7 +22,7 @@ class DMLattice:
     """Completion of ``base``: all closed subsets in lectic order."""
 
     __slots__ = ("base", "closed", "index", "embed", "inv", "bottom", "top",
-                 "_up", "_poset", "_view", "_kept")
+                 "_gens", "_up", "_poset", "_view", "_kept")
 
     def __init__(self, base: FinitePoset, closed: list[int]):
         self.base = base
@@ -32,6 +32,7 @@ class DMLattice:
         self.bottom = self.index[base.closure(0)]
         self.top = self.index[base.full]
         self.inv = None
+        self._gens = None
         self._up = None
         self._poset = None
         self._view = None
@@ -44,11 +45,13 @@ class DMLattice:
 
     def _lifted_involution(self) -> tuple[int, ...]:
         """X -> L(X'-image), checked to be an involutive antitone
-        extension of the base involution before it is trusted."""
+        extension of the base involution before it is trusted.  The base
+        involution is antitone, so the images of the generators of X
+        already have the lower cone of all of X'-image."""
         base = self.base
         star = []
-        for mask in self.closed:
-            image = base.lower_cone(base.inv_image(mask))
+        for gens in self.generators():
+            image = base.lower_cone(base.inv_image(gens))
             if image not in self.index:
                 raise InternalError("involution image is not closed")
             star.append(self.index[image])
@@ -76,9 +79,18 @@ class DMLattice:
             self._kept[compute] = compute(self)
         return self._kept[compute]
 
+    def generators(self) -> tuple[int, ...]:
+        """The maximal elements of each closed set, worked out once.  A
+        closed set is a down-set, so they decide inclusion in it: X is
+        inside Y exactly when max X is."""
+        if self._gens is None:
+            self._gens = tuple(map(self.base.maximal_of, self.closed))
+        return self._gens
+
     def up_rows(self) -> tuple[int, ...]:
         """Row i marks, by index, the closed sets that contain closed[i]:
-        the AND over e in closed[i] of the closed sets holding e."""
+        the AND over the generators g of closed[i] of the closed sets
+        holding g."""
         if self._up is None:
             holders = [0] * self.base.n
             for k, mask in enumerate(self.closed):
@@ -88,7 +100,7 @@ class DMLattice:
                     mask ^= low
                     holders[low.bit_length() - 1] |= bit
             rows = []
-            for mask in self.closed:
+            for mask in self.generators():
                 row = (1 << len(self.closed)) - 1
                 while mask:
                     low = mask & -mask
@@ -117,13 +129,12 @@ class DMLattice:
         return self._view
 
     def name_of(self, k: int) -> str:
-        """Closed sets are down-sets, so the maximal elements identify
-        them; principal sets get their generator's plain name."""
-        mask = self.closed[k]
-        if mask == 0:
+        """Closed sets are down-sets, so their generators identify them;
+        principal sets get their generator's plain name."""
+        gens = self.generators()[k]
+        if gens == 0:
             return "{}"
-        tops = self.base.maximal_of(mask)
-        return "∨".join(self.base.names[i] for i in bits(tops))
+        return "∨".join(self.base.names[i] for i in bits(gens))
 
     def as_poset(self) -> FinitePoset:
         """The completion as a plain FinitePoset; element ids equal the

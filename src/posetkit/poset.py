@@ -74,7 +74,7 @@ class FinitePoset:
     """
 
     __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids",
-                 "_by_up", "_by_down", "_view", "_kept")
+                 "_by_up", "_by_down", "_perp", "_view", "_kept")
 
     def __init__(self, names: tuple[str, ...], up: tuple[int, ...],
                  inv: tuple[int, ...] | None = None):
@@ -117,6 +117,7 @@ class FinitePoset:
         self._ids = {name: i for i, name in enumerate(names)}
         self._by_up = None
         self._by_down = None
+        self._perp = None
         self._view = None
         self._kept = {}
 
@@ -223,11 +224,36 @@ class FinitePoset:
         return self._by_down
 
     def maximal_of(self, subset: ElementSet) -> ElementSet:
+        """The elements of a subset with nothing of it above them."""
+        up = self.up
         out = 0
-        for i in bits(subset):
-            if subset & self.up[i] == 1 << i:
-                out |= 1 << i
+        rest = subset
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if subset & up[low.bit_length() - 1] == low:
+                out |= low
         return out
+
+    @property
+    def perp(self) -> tuple[ElementSet, ...]:
+        """Row a marks the b != a with a <= b' and b <= a', built on first
+        use: the preimage of ↑a under the involution, cut by ↓a'."""
+        if self._perp is None:
+            inv = self.require_involution()
+            back = [0] * self.n  # back[c] is the bit of the b with b' = c
+            for b, c in enumerate(inv):
+                back[c] = 1 << b
+            rows = []
+            for a, rest in enumerate(self.up):
+                row = 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row |= back[low.bit_length() - 1]
+                rows.append(row & self.down[inv[a]] & ~(1 << a))
+            self._perp = tuple(rows)
+        return self._perp
 
     def join_of(self, subset: ElementSet) -> int | None:
         """Least upper bound of a subset, or None: U(subset) looked up in by_up."""
@@ -417,17 +443,9 @@ def lattice_violation(poset: FinitePoset) -> dict | None:
 
 def _orthogonality_rows(poset: FinitePoset, universe: ElementSet) -> dict[int, ElementSet]:
     """Row a marks the members b != a of ``universe`` with a <= b' and
-    b <= a'."""
-    inv = poset.require_involution()
-    members = list(bits(universe))
-    rows = {}
-    for a in members:
-        row = 0
-        for b in members:
-            if a != b and (poset.up[a] >> inv[b]) & 1 and (poset.up[b] >> inv[a]) & 1:
-                row |= 1 << b
-        rows[a] = row
-    return rows
+    b <= a': the poset's ``perp`` rows cut down to ``universe``."""
+    perp = poset.perp
+    return {a: perp[a] & universe for a in bits(universe)}
 
 
 def orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[ElementSet]:
@@ -449,13 +467,23 @@ def orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[Ele
 
 def maximal_orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[ElementSet]:
     """The orthogonal subsets of ``universe`` that no other contains: the
-    maximal cliques of the orthogonality graph, by Bron-Kerbosch."""
+    maximal cliques of the orthogonality graph, by Bron-Kerbosch.  An
+    excluded vertex orthogonal to every candidate would extend each clique
+    found below, so that branch is cut; it yields nothing, so the order of
+    the cliques is the one the full search gives."""
     compat = _orthogonality_rows(poset, universe)
 
     def expand(chosen: int, candidates: int, excluded: int) -> Iterator[int]:
-        if candidates == 0 and excluded == 0:
-            yield chosen
+        if candidates == 0:
+            if excluded == 0:
+                yield chosen
             return
+        rest = excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if candidates & ~compat[low.bit_length() - 1] == 0:
+                return
         rest = candidates
         while rest:
             low = rest & -rest
@@ -465,6 +493,8 @@ def maximal_orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iter
             candidates ^= low
             excluded |= low
             rest ^= low
+            if candidates & ~compat[v] == 0:
+                return
 
     yield from expand(0, universe, 0)
 

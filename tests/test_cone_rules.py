@@ -28,6 +28,16 @@ replaced them.  Those walks and loops are oracles here: every report,
 witness and precondition error must come out the same, and each form of
 the criterion must fail exactly where the walks find a triple.
 
+A completion used to read every element of each closed set: its up-set
+rows ANDed the holders of each element, its involution took L(inv X),
+and its names came from a scan for the maximal elements.  The
+orthogonality rows of ``finch`` and ``orthocomplete`` were tested pair
+by pair for every closed set, and Bron-Kerbosch searched every branch.
+The generators and one orthogonality table per poset replaced them;
+those routes are oracles here, and the rows, involution, names,
+maximal orthogonal subsets (in order) and reports must come out the
+same.
+
 The distributive and boolean reports of 2^6 by the chain walks take
 several seconds, and the closure walk about four, so those comparisons
 run with the opt-in ``exhaustive`` tier.
@@ -40,7 +50,8 @@ from hypothesis import given, settings, strategies as st
 from test_completion import crown
 
 from posetkit import checks, corpus
-from posetkit.build import generate_small, greechie_to_omp
+from posetkit import poset as poset_module
+from posetkit.build import generate_small, greechie_to_omp, horizontal_sum
 from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext
 from posetkit.completion import DMLattice, check_join_meet_density, complete
 from posetkit.errors import (
@@ -58,6 +69,7 @@ from posetkit.poset import (
     is_antitone_involution,
     is_complementation,
     lattice_violation,
+    maximal_orthogonal_subsets,
 )
 from posetkit.report import CheckReport
 from posetkit.residuation import (
@@ -500,13 +512,20 @@ def walk_families():
     yield from seeded_streams((("any", 5), ("complemented", 6)), 600)
 
 
+def complemented(poset):
+    found = outcome(is_complementation, poset)
+    return isinstance(found, CheckReport) and found.holds
+
+
 def walks_agree(posets):
     """Assert the same first violation from both routes, each form, and
-    count the walks that passed and failed."""
+    count the walks that passed and failed.  The pseudo-orthomodular walk
+    skips pairs that a complementation decides, so it is compared on
+    complemented posets, the only ones its check runs on."""
     counts = {"pass": 0, "fail": 0}
     for poset in posets:
         walks = [(checks._distributive_violation, closure_distributive_violation)]
-        if poset.inv is not None:
+        if complemented(poset):
             walks.append((checks._pseudo_om_violation, closure_pseudo_om_violation))
         for new, old in walks:
             for dual in (False, True):
@@ -552,8 +571,7 @@ def exchange_pairs(poset):
     strong D-continuity, the completion, and the poset as a lattice."""
     pairs = []
     lattice = outcome(complete, poset)
-    complemented = outcome(is_complementation, poset)
-    if isinstance(complemented, CheckReport) and complemented.holds:
+    if complemented(poset):
         zero = lattice.closed[lattice.bottom]
         pairs.append((checks._exchange_violation(lattice.closed, lattice.up_rows(),
                                                  lattice.inv, zero),
@@ -749,3 +767,178 @@ def test_lattice_laws_match_the_table_walks_on_the_population(population):
     # every member of the population is a lattice, so nothing is undecided
     verdicts = assert_lattice_laws_match(row["poset"] for row in population)
     assert verdicts[True] and verdicts[False], verdicts
+
+
+# -- generators and the orthogonality table against the element walks ---------
+
+
+def scan_maximal(poset, subset):
+    """The maximal elements of a subset, tested one by one through bits()."""
+    out = 0
+    for i in bits(subset):
+        if subset & poset.up[i] == 1 << i:
+            out |= 1 << i
+    return out
+
+
+def element_up_rows(lattice):
+    """Row i is the AND of the holders of every element of closed[i]."""
+    holders = [0] * lattice.base.n
+    for k, mask in enumerate(lattice.closed):
+        for e in bits(mask):
+            holders[e] |= 1 << k
+    rows = []
+    for mask in lattice.closed:
+        row = (1 << len(lattice)) - 1
+        for e in bits(mask):
+            row &= holders[e]
+        rows.append(row)
+    return tuple(rows)
+
+
+def element_images(lattice):
+    """The induced involution as L(inv X) over all of X."""
+    base = lattice.base
+    return tuple(lattice.index[base.lower_cone(base.inv_image(mask))]
+                 for mask in lattice.closed)
+
+
+def scanned_names(lattice):
+    names = lattice.base.names
+    return tuple("∨".join(names[i] for i in bits(scan_maximal(lattice.base, mask))) or "{}"
+                 for mask in lattice.closed)
+
+
+def pairwise_orthogonality_rows(poset, universe):
+    """Row a marks the members b != a of ``universe`` with a <= b' and
+    b <= a', every pair tested."""
+    inv = poset.require_involution()
+    members = list(bits(universe))
+    rows = {}
+    for a in members:
+        row = 0
+        for b in members:
+            if a != b and (poset.up[a] >> inv[b]) & 1 and (poset.up[b] >> inv[a]) & 1:
+                row |= 1 << b
+        rows[a] = row
+    return rows
+
+
+def full_bron_kerbosch(poset, universe):
+    """The maximal orthogonal subsets by Bron-Kerbosch on pairwise rows,
+    with no branch cut."""
+    compat = pairwise_orthogonality_rows(poset, universe)
+
+    def expand(chosen, candidates, excluded):
+        if candidates == 0 and excluded == 0:
+            yield chosen
+            return
+        for v in bits(candidates):
+            yield from expand(chosen | 1 << v, candidates & compat[v], excluded & compat[v])
+            candidates ^= 1 << v
+            excluded |= 1 << v
+
+    yield from expand(0, universe, 0)
+
+
+ORTHOGONALITY_REPORTS = ("finch", "orthocomplete")
+
+
+def assert_generators_match(poset, names=ORTHOGONALITY_REPORTS):
+    """The completion read through generators equals the one read through
+    every element; the orthogonality table and the cut search give the
+    same maximal orthogonal subsets of each closed set, in the same order,
+    and the same reports.  Returns the reports."""
+    for subset in probe_subsets(poset):
+        assert poset.maximal_of(subset) == scan_maximal(poset, subset), subset
+    lattice = outcome(complete, poset)
+    if isinstance(lattice, DMLattice):
+        rows = element_up_rows(lattice)
+        assert lattice.generators() == tuple(scan_maximal(poset, mask)
+                                             for mask in lattice.closed)
+        assert lattice.up_rows() == rows
+        if lattice.inv is not None:
+            assert lattice.inv == element_images(lattice)
+        else:
+            assert outcome(is_antitone_involution, poset) != CheckReport(
+                "antitone-involution", True)
+        flat = lattice.as_poset()
+        assert flat.names == scanned_names(lattice)
+        assert flat.up == rows
+        assert flat.down == tuple(sum(1 << j for j, row in enumerate(rows) if row >> i & 1)
+                                  for i in range(len(rows)))
+    if poset.inv is not None:
+        assert dict(enumerate(poset.perp)) == pairwise_orthogonality_rows(poset, poset.full)
+    if complemented(poset):
+        # the closed sets finch reads; a long chain's would take the full search 2^(n/2) steps
+        for mask in getattr(lattice, "closed", ()):
+            assert (list(maximal_orthogonal_subsets(poset, mask))
+                    == list(full_bron_kerbosch(poset, mask))), mask
+    new = reports(fresh(poset), names)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset_module, "_orthogonality_rows", pairwise_orthogonality_rows)
+        patch.setattr(checks, "maximal_orthogonal_subsets", full_bron_kerbosch)
+        assert reports(fresh(poset), names) == new, poset.names
+    return new
+
+
+def hsums(rename):
+    """Horizontal sums of 2 to 4 crowns S_4, of 2 and 3 copies of 2^3, and
+    of fig1b with MO_2 and 2^2."""
+    for count in (2, 3, 4):
+        yield horizontal_sum([rename(crown(4), f"c{i}") for i in range(count)])
+    for count in (2, 3):
+        yield horizontal_sum([rename(corpus.boolean_algebra(3), f"b{i}")
+                              for i in range(count)])
+    yield horizontal_sum([corpus.load("fig1b"), rename(corpus.mo(2), "m"),
+                          corpus.boolean_algebra(2, ("g", "g'"))])
+
+
+def generator_families(rename):
+    """The corpus, crowns S_3..S_8, 2^1..2^7, MO_1..MO_16, chains up to 17,
+    horizontal sums, Greechie loops of order 4 to 6, and 300 seeded posets
+    from each of the ``any``, ``complemented`` and ``pseudo_om`` streams."""
+    yield from map(corpus.load, corpus.member_names())
+    yield from map(crown, range(3, 9))
+    yield from map(corpus.boolean_algebra, range(1, 8))
+    yield from map(corpus.mo, range(1, 17))
+    yield from map(corpus.chain, (2, 3, 5, 9, 17))
+    yield from hsums(rename)
+    yield from map(greechie_loop, range(4, 7))
+    yield from seeded_streams((("any", 13), ("complemented", 14), ("pseudo_om", 15)), 300)
+
+
+# the lower half of a chain is orthogonal, so orthocomplete walks its 2^(n/2) subsets
+LONG_CHAINS = (40, 60, 80)
+
+
+def count_verdicts(found_reports, verdicts):
+    for found in found_reports:
+        verdicts[found.holds if isinstance(found, CheckReport) else "undecided"] += 1
+
+
+def test_generators_and_orthogonality_table_match_the_element_walks(prefixed):
+    verdicts = {True: 0, False: 0, "undecided": 0}
+    for poset in generator_families(prefixed):
+        count_verdicts(assert_generators_match(poset), verdicts)
+    # pass, fail and skip texts are all compared
+    assert min(verdicts.values()) > 100, verdicts
+
+
+@pytest.mark.parametrize("n", LONG_CHAINS)
+def test_generators_match_the_element_walks_on_long_chains(n):
+    [found] = assert_generators_match(corpus.chain(n), ("finch",))
+    assert found[0] is NotComplemented
+
+
+def test_generators_and_orthogonality_table_match_on_the_population(population):
+    verdicts = {True: 0, False: 0, "undecided": 0}
+    for row in population:
+        count_verdicts(assert_generators_match(row["poset"]), verdicts)
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+@pytest.mark.exhaustive
+def test_generators_match_the_element_walks_on_crown10():
+    finch, orthocomplete = assert_generators_match(crown(10))
+    assert finch.holds and not orthocomplete.holds
