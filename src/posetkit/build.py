@@ -15,7 +15,6 @@ from .errors import (
     InternalError,
     InvalidDiagram,
     MissingInvolution,
-    NotALattice,
     NotComplementClosed,
     PosetError,
     SizeLimitExceeded,
@@ -27,6 +26,7 @@ from .poset import (
     _transitive_closure,
     bits,
     is_complementation,
+    is_lattice,
     labeled_diff,
 )
 from .report import CheckReport
@@ -309,12 +309,8 @@ def greechie_to_omp(diagram: GreechieDiagram) -> FinitePoset:
         raise InvalidDiagram(f"pasting did not produce a poset: {exc}") from exc
     if not is_orthomodular_poset(result).holds:
         raise InternalError("pasting must produce an orthomodular poset")
-    try:
-        result.view  # a missing join or meet is kept for the next reader
-        lattice = True
-    except NotALattice:
-        lattice = False
-    if lattice != (_find_loop(masks, 4) is None):
+    # the scan is kept on the poset for the next reader
+    if is_lattice(result) != (_find_loop(masks, 4) is None):
         raise InternalError("lattice exactly when the diagram has no loop of order 4")
     return result
 

@@ -29,6 +29,7 @@ from .poset import (
     bits,
     is_antitone_involution,
     is_complementation,
+    is_lattice,
     lattice_violation,
     maximal_orthogonal_subsets,
     orthogonal_subsets,
@@ -135,9 +136,7 @@ def is_distributive_poset(poset: FinitePoset) -> CheckReport:
 
 
 def _distributive_poset_report(poset: FinitePoset) -> CheckReport:
-    try:
-        poset.view
-    except NotALattice:
+    if not is_lattice(poset):
         return _distributive_report(_distributive_violation(poset, dual=False),
                                     _distributive_violation(poset, dual=True),
                                     poset.names.__getitem__)
@@ -148,24 +147,25 @@ def is_distributive_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
     """Distributivity of a lattice by Birkhoff's criterion, every
     join-irreducible join-prime (Davey & Priestley 2002), decided
     once on the join- and once on the meet-irreducibles.  Only a failure
-    reads the join and meet tables, to name the first triple at which
-    the lattice forms of the cone identities differ: the same verdict
-    and witness as :func:`is_distributive_poset`."""
+    reads the join and meet tables, a completion's through its
+    ``as_poset()``, to name the first triple at which the lattice forms
+    of the cone identities differ: the same verdict and witness as
+    :func:`is_distributive_poset`."""
     if isinstance(lattice, DMLattice):
         base, sets = lattice.base, lattice.closed
         cones = [base.upper_cone(mask) for mask in sets]
     else:
-        lattice.view  # raises NotALattice naming the first pair without a join or meet
+        lattice.require_lattice()
         base, sets, cones = lattice, lattice.down, lattice.up
     fails = _irreducible_not_prime(base, sets, cones, dual=False)
     if fails != _irreducible_not_prime(base, sets, cones, dual=True):
         raise InternalError("the join-prime and meet-prime criteria must agree")
     if not fails:
         return CheckReport("distributive", True)
-    view = lattice.view
-    report = _distributive_report(_lattice_distributive_violation(view, dual=False),
-                                  _lattice_distributive_violation(view, dual=True),
-                                  view.name_of)
+    poset = lattice.as_poset() if isinstance(lattice, DMLattice) else lattice
+    report = _distributive_report(_lattice_distributive_violation(poset.view, dual=False),
+                                  _lattice_distributive_violation(poset.view, dual=True),
+                                  poset.names.__getitem__)
     if report.holds:
         raise InternalError("a lattice failing Birkhoff's criterion must have a witness triple")
     return report
@@ -263,7 +263,7 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
             anti = is_antitone_involution(lattice)
             if not anti.holds:
                 raise NotComplemented("involution is not antitone: " + anti.details)
-        lattice.view  # raises NotALattice naming the first pair without a join or meet
+        lattice.require_lattice()
         inv = lattice.require_involution()
         bottom, top = lattice.require_bounds()
         sets, index, ups = lattice.down, lattice.by_down, lattice.up
@@ -300,7 +300,8 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
 
 def find_modularity_violation(lattice: "FinitePoset | DMLattice") -> dict | None:
     """First x <= z and y with x v (y ^ z) != (x v y) ^ z, or None."""
-    view = lattice.view
+    poset = lattice.as_poset() if isinstance(lattice, DMLattice) else lattice
+    view, names = poset.view, poset.names
     join, meet, size = view.join, view.meet, view.size
     for x in range(size):
         for z in range(size):
@@ -308,7 +309,7 @@ def find_modularity_violation(lattice: "FinitePoset | DMLattice") -> dict | None
                 continue
             for y in range(size):
                 if join[x][meet[y][z]] != meet[join[x][y]][z]:
-                    return {"x": view.name_of(x), "y": view.name_of(y), "z": view.name_of(z)}
+                    return {"x": names[x], "y": names[y], "z": names[z]}
     return None
 
 
@@ -460,7 +461,7 @@ def finch_criterion(poset: FinitePoset, lattice: DMLattice | None = None) -> Che
 def is_complement_closed_doubly_dense(lattice: FinitePoset, subset: ElementSet) -> CheckReport:
     """subset contains the bounds, is involution closed, and every
     lattice element is both a join and a meet of subset elements."""
-    lattice.view  # raises NotALattice naming the first pair without a join or meet
+    lattice.require_lattice()
     comp = is_complementation(lattice)
     if not comp.holds:
         raise NotComplemented("doubly dense subsets live in complemented lattices")
@@ -552,8 +553,13 @@ def _atomistic_report(ctx: CheckContext) -> CheckReport:
 
 
 def _orthocomplete_report(ctx: CheckContext) -> CheckReport:
+    """Every orthogonal subset has a join.  A finite lattice is complete
+    (Davey & Priestley 2002, ch. 2), so only a non-lattice walks them."""
     poset = ctx.poset
     bottom, _ = poset.require_bounds()
+    poset.require_involution()
+    if is_lattice(poset):
+        return CheckReport("orthocomplete", True)
     for subset in orthogonal_subsets(poset, poset.full & ~(1 << bottom)):
         if poset.join_of(subset) is None:
             return CheckReport("orthocomplete", False,
@@ -563,7 +569,7 @@ def _orthocomplete_report(ctx: CheckContext) -> CheckReport:
 
 
 def _lattice_report(ctx: CheckContext) -> CheckReport:
-    bad = lattice_violation(ctx.poset)
+    bad = ctx.poset.kept(lattice_violation)
     if bad is None:
         return CheckReport("lattice", True)
     return CheckReport("lattice", False,

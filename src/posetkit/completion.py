@@ -12,7 +12,7 @@ the canonical order on completion elements.
 from __future__ import annotations
 
 from .errors import InternalError, SizeLimitExceeded
-from .poset import FinitePoset, LatticeView, bits, is_antitone_involution
+from .poset import FinitePoset, bits, is_antitone_involution
 from .report import CheckReport
 
 DEFAULT_MAX_CLOSED_SETS = 100_000
@@ -22,7 +22,7 @@ class DMLattice:
     """Completion of ``base``: all closed subsets in lectic order."""
 
     __slots__ = ("base", "closed", "index", "embed", "inv", "bottom", "top",
-                 "_gens", "_up", "_poset", "_view", "_kept")
+                 "_gens", "_up", "_poset", "_kept")
 
     def __init__(self, base: FinitePoset, closed: list[int]):
         self.base = base
@@ -35,7 +35,6 @@ class DMLattice:
         self._gens = None
         self._up = None
         self._poset = None
-        self._view = None
         self._kept = {}
         if base.inv is not None and is_antitone_involution(base).holds:
             self.inv = self._lifted_involution()
@@ -109,24 +108,6 @@ class DMLattice:
                 rows.append(row)
             self._up = tuple(rows)
         return self._up
-
-    @property
-    def view(self) -> LatticeView:
-        """Join and meet tables, built on first use: meet is intersection,
-        join is De Morgan through the induced involution when there is
-        one, the closure of the union otherwise."""
-        if self._view is None:
-            index, closed = self.index, self.closed
-            meet = [[index[x & y] for y in closed] for x in closed]
-            if self.inv is not None:
-                inv = self.inv
-                join = [[inv[meet[inv[i]][inv[j]]] for j in range(len(closed))]
-                        for i in range(len(closed))]
-            else:
-                base = self.base
-                join = [[index[base.closure(x | y)] for y in closed] for x in closed]
-            self._view = LatticeView(join, meet, self.name_of)
-        return self._view
 
     def name_of(self, k: int) -> str:
         """Closed sets are down-sets, so their generators identify them;

@@ -201,11 +201,18 @@ class FinitePoset:
             raise NotComplemented(f"{what} needs a complementation ({comp.details})")
         return self.inv
 
-    def kept(self, compute) -> CheckReport:
-        """The report ``compute(self)``, worked out once and kept on the poset."""
+    def kept(self, compute):
+        """The result ``compute(self)``, worked out once and kept on the poset."""
         if compute not in self._kept:
             self._kept[compute] = compute(self)
         return self._kept[compute]
+
+    def require_lattice(self) -> None:
+        """Raise NotALattice naming the first pair without a join or a
+        meet; the scan is kept, so latticehood is decided once."""
+        bad = self.kept(lattice_violation)
+        if bad is not None:
+            raise NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
 
     # -- extrema ----------------------------------------------------------
 
@@ -264,24 +271,13 @@ class FinitePoset:
 
     @property
     def view(self) -> "LatticeView":
-        """Join and meet tables of principal lookups, built on first use.
-        Raises NotALattice naming the first pair without a join or a meet;
-        the building stops at the first row that lacks one, and the
-        failure is kept and raised again on every later access."""
+        """Join and meet tables of principal lookups, built on first use;
+        :meth:`require_lattice` refuses a poset that is not a lattice."""
         if self._view is None:
-            by_up, by_down = self.by_up, self.by_down
-            join, meet = [], []
-            for up_row, down_row in zip(self.up, self.down):
-                join.append([by_up.get(up_row & other) for other in self.up])
-                meet.append([by_down.get(down_row & other) for other in self.down])
-                if None in join[-1] or None in meet[-1]:
-                    bad = lattice_violation(self)
-                    self._view = NotALattice(f"{bad['x']}, {bad['y']} have no {bad['missing']}")
-                    break
-            else:
-                self._view = LatticeView(join, meet, self.names.__getitem__)
-        if isinstance(self._view, NotALattice):
-            raise self._view.with_traceback(None)
+            self.require_lattice()
+            by_up, by_down, up, down = self.by_up, self.by_down, self.up, self.down
+            self._view = LatticeView([[by_up[a & b] for b in up] for a in up],
+                                     [[by_down[a & b] for b in down] for a in down])
         return self._view
 
     # -- small derived data ------------------------------------------------
@@ -313,16 +309,15 @@ class FinitePoset:
 class LatticeView:
     """Element-valued join and meet of a finite lattice as tables:
     ``join[i][j]`` and ``meet[i][j]`` are element ids.  Built once per
-    lattice, by :attr:`FinitePoset.view` or :attr:`DMLattice.view`;
-    ``name_of`` names an element for witnesses."""
+    lattice, by :attr:`FinitePoset.view`; a completion's come from its
+    :meth:`~posetkit.completion.DMLattice.as_poset`."""
 
-    __slots__ = ("size", "join", "meet", "name_of")
+    __slots__ = ("size", "join", "meet")
 
-    def __init__(self, join: list[list[int]], meet: list[list[int]], name_of):
+    def __init__(self, join: list[list[int]], meet: list[list[int]]):
         self.size = len(meet)
         self.join = join
         self.meet = meet
-        self.name_of = name_of
 
 
 def build_poset(names: Iterable[object], relation: Iterable[tuple[object, object]],
@@ -427,7 +422,8 @@ def _complementation_report(poset: FinitePoset) -> CheckReport:
 
 
 def is_lattice(poset: FinitePoset) -> bool:
-    return lattice_violation(poset) is None
+    """Whether every pair has a join and a meet; kept."""
+    return poset.kept(lattice_violation) is None
 
 
 def lattice_violation(poset: FinitePoset) -> dict | None:

@@ -164,27 +164,17 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    join, meet = lattice.view.join, lattice.view.meet
-    n = lattice.n
-    odot = [[0] * n for _ in range(n)]
-    arrow = [[0] * n for _ in range(n)]
+    join, meet, ids = lattice.view.join, lattice.view.meet, range(lattice.n)
     if kind == "relpseudo":
-        if star is None:
-            star = pseudocomplement_table(lattice)
-        for x in range(n):
-            for y in range(n):
-                odot[x][y] = meet[x][y]
-                arrow[x][y] = star[x][y]
+        odot = meet
+        arrow = star if star is not None else pseudocomplement_table(lattice)
     else:
         inv = lattice.require_involution()
-        for x in range(n):
-            for y in range(n):
-                if kind == "boolean":
-                    odot[x][y] = meet[x][y]
-                    arrow[x][y] = join[inv[x]][y]
-                else:
-                    odot[x][y] = meet[join[x][inv[y]]][y]
-                    arrow[x][y] = join[meet[x][y]][inv[x]]
+        if kind == "boolean":
+            odot, arrow = meet, [join[inv[x]] for x in ids]
+        else:
+            odot = [[meet[join[x][inv[y]]][y] for y in ids] for x in ids]
+            arrow = [[join[meet[x][y]][inv[x]] for y in ids] for x in ids]
     return ResiduatedOps(kind, tuple(map(tuple, odot)), tuple(map(tuple, arrow)))
 
 

@@ -8,7 +8,7 @@ the same report, witness included, and bdm_transform the same tables.
 
 import pytest
 
-from posetkit import corpus
+from posetkit import checks, corpus
 from posetkit import poset as poset_module
 from posetkit.checks import (
     PROPERTIES,
@@ -190,31 +190,38 @@ def test_non_lattices_raise_the_witness_message():
 def test_a_non_lattice_view_is_refused_once(monkeypatch):
     calls = []
     real = poset_module.lattice_violation
-    monkeypatch.setattr(poset_module, "lattice_violation",
-                        lambda poset: calls.append(poset) or real(poset))
-    # the pasting decides latticehood by the view, so loading reads it first
+
+    def counted(poset):
+        calls.append(poset)
+        return real(poset)
+
+    # patched where it is looked up: in poset.py and by the lattice property
+    monkeypatch.setattr(poset_module, "lattice_violation", counted)
+    monkeypatch.setattr(checks, "lattice_violation", counted)
+    # the pasting decides latticehood by the kept scan, so loading scans first
     fig3 = corpus.load("fig3")
     assert calls == [fig3]
     ctx = CheckContext(fig3)
-    names = ("modular", "orthomodular-lattice", "distributive", "modular")
-    assert [exc for _, _, exc in run_properties(ctx, names)].count(None) == 1
+    names = ("modular", "orthomodular-lattice", "distributive", "modular", "lattice",
+             "orthocomplete")
+    assert [exc for _, _, exc in run_properties(ctx, names)].count(None) == 3
     with pytest.raises(NotALattice) as caught:
         fig3.view
     bad = real(fig3)
     assert str(caught.value) == f"{bad['x']}, {bad['y']} have no {bad['missing']}"
-    # the access while loading found the missing join or meet; the rest reuse it
+    # the scan while loading found the missing join or meet; the rest reuse it
     assert calls == [fig3]
 
 
-def test_passing_completion_laws_read_no_view(monkeypatch):
-    read = []
-    monkeypatch.setattr(DMLattice, "view", property(read.append))
+def test_passing_completion_laws_build_no_as_poset(monkeypatch):
+    built, real = [], DMLattice.as_poset
+    monkeypatch.setattr(DMLattice, "as_poset", lambda lattice: built.append(lattice) or real(lattice))
     for name, props in (("fig1a", ("completion-distributive", "completion-orthomodular")),
                         ("ba16", ("completion-distributive", "completion-orthomodular")),
                         ("fig2", ("completion-orthomodular", "strongly-d-continuous"))):
         ctx = CheckContext(corpus.load(name))
         assert all(PROPERTIES[prop](ctx).holds for prop in props), name
-    assert read == []
+    assert built == []
 
 
 def test_distributive_lattice_agrees_with_the_cone_form():
@@ -227,7 +234,8 @@ def test_completion_join_is_the_closure_of_the_union():
     for name in ("fig2", "fig3", "diamond", "benzene"):
         dm = complete(corpus.load(name))
         ops = ConeOps(dm)
+        view = dm.as_poset().view
         for i in range(len(dm)):
             for j in range(len(dm)):
-                assert dm.view.join[i][j] == ops.join(i, j)
-                assert dm.view.meet[i][j] == ops.meet(i, j)
+                assert view.join[i][j] == ops.join(i, j)
+                assert view.meet[i][j] == ops.meet(i, j)
