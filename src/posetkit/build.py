@@ -362,8 +362,8 @@ def dm_hsum_isomorphism(parts: Sequence[FinitePoset],
     closed set of the sum lies inside a single part and is named after
     the same maximal elements as the matching closed set of that part.
     """
-    combined = complete(horizontal_sum(parts), max_closed_sets).as_poset()
-    summed = horizontal_sum([complete(p, max_closed_sets).as_poset() for p in parts])
+    combined = complete(horizontal_sum(parts), max_closed_sets)
+    summed = horizontal_sum([complete(p, max_closed_sets) for p in parts])
     witness = labeled_diff(combined, summed)
     return CheckReport("dm-hsum-isomorphism", witness is None, witness=witness,
                        extra={"closed-sets": str(combined.n)})

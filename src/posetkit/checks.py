@@ -143,14 +143,13 @@ def _distributive_poset_report(poset: FinitePoset) -> CheckReport:
     return is_distributive_lattice(poset)
 
 
-def is_distributive_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
+def is_distributive_lattice(lattice: FinitePoset) -> CheckReport:
     """Distributivity of a lattice by Birkhoff's criterion, every
     join-irreducible join-prime (Davey & Priestley 2002), decided
     once on the join- and once on the meet-irreducibles.  Only a failure
-    reads the join and meet tables, a completion's through its
-    ``as_poset()``, to name the first triple at which the lattice forms
-    of the cone identities differ: the same verdict and witness as
-    :func:`is_distributive_poset`."""
+    reads the join and meet tables, to name the first triple at which
+    the lattice forms of the cone identities differ: the same verdict
+    and witness as :func:`is_distributive_poset`."""
     if isinstance(lattice, DMLattice):
         base, sets = lattice.base, lattice.closed
         cones = [base.upper_cone(mask) for mask in sets]
@@ -162,10 +161,9 @@ def is_distributive_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
         raise InternalError("the join-prime and meet-prime criteria must agree")
     if not fails:
         return CheckReport("distributive", True)
-    poset = lattice.as_poset() if isinstance(lattice, DMLattice) else lattice
-    report = _distributive_report(_lattice_distributive_violation(poset.view, dual=False),
-                                  _lattice_distributive_violation(poset.view, dual=True),
-                                  poset.names.__getitem__)
+    report = _distributive_report(_lattice_distributive_violation(lattice.view, dual=False),
+                                  _lattice_distributive_violation(lattice.view, dual=True),
+                                  lattice.names.__getitem__)
     if report.holds:
         raise InternalError("a lattice failing Birkhoff's criterion must have a witness triple")
     return report
@@ -237,11 +235,11 @@ def _exchange_violation(sets: Sequence[int], ups: Sequence[int], inv: Sequence[i
 def _completion_exchange_violation(lattice: DMLattice) -> tuple[int, int] | None:
     """The exchange scan of a completion, kept on it: strong D-continuity
     and completion orthomodularity read the same first pair."""
-    return _exchange_violation(lattice.closed, lattice.up_rows(), lattice.inv,
+    return _exchange_violation(lattice.closed, lattice.up, lattice.inv,
                                lattice.closed[lattice.bottom])
 
 
-def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
+def is_orthomodular_lattice(lattice: FinitePoset) -> CheckReport:
     """Lattice orthomodularity via x v y = ((x v y) ^ y') v y, cross
     checked against the x <= y, x' ^ y = 0 implies x = y condition.
 
@@ -256,8 +254,8 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
     if isinstance(lattice, DMLattice):
         if lattice.inv is None:
             raise MissingInvolution("completion carries no involution")
-        inv, bottom, top, name_of = lattice.inv, lattice.bottom, lattice.top, lattice.name_of
-        sets, index, ups = lattice.closed, lattice.index, lattice.up_rows()
+        inv, bottom, top = lattice.inv, lattice.bottom, lattice.top
+        sets, index = lattice.closed, lattice.index
     else:
         if lattice.inv is not None:
             anti = is_antitone_involution(lattice)
@@ -266,8 +264,8 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
         lattice.require_lattice()
         inv = lattice.require_involution()
         bottom, top = lattice.require_bounds()
-        sets, index, ups = lattice.down, lattice.by_down, lattice.up
-        name_of = lattice.names.__getitem__
+        sets, index = lattice.down, lattice.by_down
+    ups, name_of = lattice.up, lattice.names.__getitem__
     primes = [sets[k] for k in inv]  # primes[k] is the down-set of k'
     for k, row in enumerate(sets):
         meet = index[row & primes[k]]
@@ -298,10 +296,9 @@ def is_orthomodular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
     raise InternalError("a failed orthomodular identity must have a witness pair")
 
 
-def find_modularity_violation(lattice: "FinitePoset | DMLattice") -> dict | None:
+def find_modularity_violation(lattice: FinitePoset) -> dict | None:
     """First x <= z and y with x v (y ^ z) != (x v y) ^ z, or None."""
-    poset = lattice.as_poset() if isinstance(lattice, DMLattice) else lattice
-    view, names = poset.view, poset.names
+    view, names = lattice.view, lattice.names
     join, meet, size = view.join, view.meet, view.size
     for x in range(size):
         for z in range(size):
@@ -313,7 +310,7 @@ def find_modularity_violation(lattice: "FinitePoset | DMLattice") -> dict | None
     return None
 
 
-def is_modular_lattice(lattice: "FinitePoset | DMLattice") -> CheckReport:
+def is_modular_lattice(lattice: FinitePoset) -> CheckReport:
     bad = find_modularity_violation(lattice)
     if bad is None:
         return CheckReport("modular", True)
@@ -380,7 +377,7 @@ def is_strongly_d_continuous(poset: FinitePoset,
     which covers all subset pairs because both sides depend on (B, C)
     only through LU(B) and L(C).  As inv(U(X)) = L(X-images) is X' in
     the completion, this is its exchange condition, scanned over
-    ``DMLattice.up_rows()``: on a complemented poset it equals
+    the completion's up rows: on a complemented poset it equals
     ``completion-orthomodular``, with no use of pseudo-orthomodularity.
     """
     poset.require_complementation("strong D-continuity")

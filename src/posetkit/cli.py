@@ -166,9 +166,8 @@ def _cmd_check(args) -> int:
 def _cmd_complete(args) -> int:
     input_id, _, poset = _load_poset_input(args.input)
     lattice = complete(poset, args.max_closed_sets)
-    as_poset = lattice.as_poset()
     meta = {"closed-sets": str(len(lattice)), "completion-of": input_id}
-    text = serialize_poset(as_poset, metadata=meta, style=args.style)
+    text = serialize_poset(lattice, metadata=meta, style=args.style)
     _write_document(text, args.output,
                     f"complete: {input_id} has {len(lattice)} closed sets")
     return 0
@@ -194,11 +193,10 @@ def _cmd_residuate(args) -> int:
             star = None
             if args.kind == "relpseudo":
                 star = star_on_dm(poset, lattice)
-            # as_poset keeps element ids aligned with closed-set indices,
-            # so the star table carries over unchanged
-            completed = lattice.as_poset()
-            ops = bdm_transform(completed, args.kind, star)
-            verdict = verify_left_residuated_lattice(completed, ops)
+            # element ids of the completion are closed-set indices, so
+            # the star table carries over unchanged
+            ops = bdm_transform(lattice, args.kind, star)
+            verdict = verify_left_residuated_lattice(lattice, ops)
             report.add_report(verdict)
             if verdict.holds:
                 if verdict.extra.get("commutative") == "yes":
@@ -288,7 +286,7 @@ def _cmd_corpus(args) -> int:
 def _cmd_export(args) -> int:
     input_id, _, poset = _load_poset_input(args.input)
     if args.completion:
-        target = complete(poset, args.max_closed_sets).as_poset()
+        target = complete(poset, args.max_closed_sets)
         note = f"export: completion of {input_id}, {target.n} nodes"
     else:
         target = poset

@@ -12,44 +12,52 @@ the canonical order on completion elements.
 from __future__ import annotations
 
 from .errors import InternalError, SizeLimitExceeded
-from .poset import FinitePoset, bits, is_antitone_involution
+from .poset import FinitePoset, is_antitone_involution
 from .report import CheckReport
 
 DEFAULT_MAX_CLOSED_SETS = 100_000
 
 
-class DMLattice:
-    """Completion of ``base``: all closed subsets in lectic order."""
+class DMLattice(FinitePoset):
+    """Completion of ``base``: all closed subsets in lectic order, as a
+    poset whose element k is the closed set ``closed[k]``.  Its rows
+    record inclusion among distinct sets, so they are reflexive,
+    antisymmetric and transitive by construction and are not validated
+    again; only the names are checked to be distinct."""
 
-    __slots__ = ("base", "closed", "index", "embed", "inv", "bottom", "top",
-                 "_gens", "_up", "_poset", "_kept")
+    __slots__ = ("base", "closed", "index", "embed", "generators")
 
     def __init__(self, base: FinitePoset, closed: list[int]):
         self.base = base
         self.closed = tuple(closed)
         self.index = {mask: k for k, mask in enumerate(closed)}
-        self.embed = tuple(self.index[base.down[i]] for i in range(base.n))
+        self.embed = tuple(self.index[row] for row in base.down)
+        # closed sets are down-sets, so their maximal elements decide
+        # inclusion (X inside Y exactly when max X is) and name them
+        self.generators = tuple(map(base.maximal_of, closed))
+        inv = None
+        if base.inv is not None and is_antitone_involution(base).holds:
+            inv = self._lifted_involution()
+        self._store(*self._names_and_up_rows(), inv)
         self.bottom = self.index[base.closure(0)]
         self.top = self.index[base.full]
-        self.inv = None
-        self._gens = None
-        self._up = None
-        self._poset = None
-        self._kept = {}
-        if base.inv is not None and is_antitone_involution(base).holds:
-            self.inv = self._lifted_involution()
 
     def __len__(self):
         return len(self.closed)
 
     def _lifted_involution(self) -> tuple[int, ...]:
-        """X -> L(X'-image), checked to be an involutive antitone
-        extension of the base involution before it is trusted.  The base
+        """X -> L(X'-image), checked to be closed, involutive and to
+        extend the base involution before it is trusted.  The base
         involution is antitone, so the images of the generators of X
-        already have the lower cone of all of X'-image."""
+        already have the lower cone of all of X'-image.
+
+        The lift is antitone by construction.  If X is inside Y, each g in
+        max X lies below some h in max Y, so h' <= g' as the base
+        involution is antitone; every lower bound of the h' is then below
+        each g', and L(inv max Y) is inside L(inv max X)."""
         base = self.base
         star = []
-        for gens in self.generators():
+        for gens in self.generators:
             image = base.lower_cone(base.inv_image(gens))
             if image not in self.index:
                 raise InternalError("involution image is not closed")
@@ -60,70 +68,60 @@ class DMLattice:
         for i in range(base.n):
             if self.closed[star[self.embed[i]]] != base.down[base.inv[i]]:
                 raise InternalError("induced involution does not extend the base involution")
-        if len(self.closed) <= 2000:
-            up = self.up_rows()
-            for i, row in enumerate(up):
-                image = 1 << star[i]
-                while row:
-                    low = row & -row
-                    row ^= low
-                    if not up[star[low.bit_length() - 1]] & image:
-                        raise InternalError("induced involution is not antitone")
         return tuple(star)
 
-    def kept(self, compute):
-        """The result ``compute(self)``, worked out once and kept on the
-        completion."""
-        if compute not in self._kept:
-            self._kept[compute] = compute(self)
-        return self._kept[compute]
+    def _names_and_up_rows(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """One pass over the generators of each closed set, which name it
+        (a principal set gets its generator's plain name) and give its up
+        row: row i marks, by index, the closed sets that contain
+        closed[i], the AND over the generators g of closed[i] of the
+        closed sets holding g."""
+        base_names, holders = self.base.names, [0] * self.base.n
+        for k, mask in enumerate(self.closed):
+            bit = 1 << k
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                holders[low.bit_length() - 1] |= bit
+        names, rows = [], []
+        for mask in self.generators:
+            row, parts = (1 << len(self.closed)) - 1, []
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                e = low.bit_length() - 1
+                row &= holders[e]
+                parts.append(base_names[e])
+            names.append("∨".join(parts) or "{}")
+            rows.append(row)
+        return tuple(names), tuple(rows)
 
-    def generators(self) -> tuple[int, ...]:
-        """The maximal elements of each closed set, worked out once.  A
-        closed set is a down-set, so they decide inclusion in it: X is
-        inside Y exactly when max X is."""
-        if self._gens is None:
-            self._gens = tuple(map(self.base.maximal_of, self.closed))
-        return self._gens
+    @property
+    def down(self) -> tuple[int, ...]:
+        """Row k marks, by index, the closed sets inside closed[k]: the up
+        rows transposed, built on first use and kept.  Only table, cover
+        and serialisation readers need them."""
+        return self.kept(_down_rows)
 
-    def up_rows(self) -> tuple[int, ...]:
-        """Row i marks, by index, the closed sets that contain closed[i]:
-        the AND over the generators g of closed[i] of the closed sets
-        holding g."""
-        if self._up is None:
-            holders = [0] * self.base.n
-            for k, mask in enumerate(self.closed):
-                bit = 1 << k
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    holders[low.bit_length() - 1] |= bit
-            rows = []
-            for mask in self.generators():
-                row = (1 << len(self.closed)) - 1
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    row &= holders[low.bit_length() - 1]
-                rows.append(row)
-            self._up = tuple(rows)
-        return self._up
+    def require_lattice(self) -> None:
+        """Nothing to check: the closed sets of any poset form a complete
+        lattice under inclusion, meets being intersections."""
 
-    def name_of(self, k: int) -> str:
-        """Closed sets are down-sets, so their generators identify them;
-        principal sets get their generator's plain name."""
-        gens = self.generators()[k]
-        if gens == 0:
-            return "{}"
-        return "∨".join(self.base.names[i] for i in bits(gens))
+    def as_poset(self) -> "DMLattice":
+        """The completion itself, which is already a poset; element ids
+        equal the lectic enumeration indices."""
+        return self
 
-    def as_poset(self) -> FinitePoset:
-        """The completion as a plain FinitePoset; element ids equal the
-        lectic enumeration indices."""
-        if self._poset is None:
-            names = tuple(self.name_of(k) for k in range(len(self.closed)))
-            self._poset = FinitePoset(names, self.up_rows(), self.inv)
-        return self._poset
+
+def _down_rows(lattice: DMLattice) -> tuple[int, ...]:
+    rows = [0] * lattice.n
+    for i, row in enumerate(lattice.up):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            row ^= low
+            rows[low.bit_length() - 1] |= bit
+    return tuple(rows)
 
 
 def complete(poset: FinitePoset,

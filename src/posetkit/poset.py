@@ -70,7 +70,9 @@ class FinitePoset:
 
     Instances should be built through :func:`build_poset` or the
     constructors module; ``__init__`` expects already-closed ``up`` rows and
-    validates the order axioms.
+    validates the order axioms.  A completion
+    (:class:`~posetkit.completion.DMLattice`) is one too, with rows that
+    hold the axioms by construction and are not checked again.
     """
 
     __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids",
@@ -78,10 +80,8 @@ class FinitePoset:
 
     def __init__(self, names: tuple[str, ...], up: tuple[int, ...],
                  inv: tuple[int, ...] | None = None):
-        n = len(names)
-        if len(set(names)) != n:
-            raise PosetError("duplicate element names")
-        full = (1 << n) - 1
+        self._store(tuple(names), tuple(up), None if inv is None else tuple(inv))
+        n, names, up, full = self.n, self.names, self.up, self.full
         for i in range(n):
             if not (up[i] >> i) & 1:
                 raise PosetError(f"relation not reflexive at {names[i]}")
@@ -104,21 +104,26 @@ class FinitePoset:
         if inv is not None:
             if len(inv) != n or sorted(inv) != list(range(n)):
                 raise NotAFunction("involution is not a total bijection")
-        self.n = n
-        self.names = tuple(names)
-        self.up = tuple(up)
         self.down = tuple(down)
-        self.inv = tuple(inv) if inv is not None else None
-        self.full = full
         bottoms = [i for i in range(n) if up[i] == full]
         tops = [i for i in range(n) if down[i] == full]
         self.bottom = bottoms[0] if bottoms else None
         self.top = tops[0] if tops else None
+
+    def _store(self, names: tuple[str, ...], up: tuple[int, ...],
+               inv: tuple[int, ...] | None) -> None:
+        """Keep the names, up rows and involution with every cache empty;
+        of the order axioms nothing is checked, only that the names are
+        distinct.  The down rows and bounds are the caller's to set."""
+        self.n = len(names)
+        self.names = names
+        self.up = up
+        self.inv = inv
+        self.full = (1 << self.n) - 1
         self._ids = {name: i for i, name in enumerate(names)}
-        self._by_up = None
-        self._by_down = None
-        self._perp = None
-        self._view = None
+        if len(self._ids) != self.n:
+            raise PosetError("duplicate element names")
+        self._by_up = self._by_down = self._perp = self._view = None
         self._kept = {}
 
     # -- element and subset helpers -------------------------------------
@@ -309,8 +314,7 @@ class FinitePoset:
 class LatticeView:
     """Element-valued join and meet of a finite lattice as tables:
     ``join[i][j]`` and ``meet[i][j]`` are element ids.  Built once per
-    lattice, by :attr:`FinitePoset.view`; a completion's come from its
-    :meth:`~posetkit.completion.DMLattice.as_poset`."""
+    lattice, by :attr:`FinitePoset.view`, a completion's included."""
 
     __slots__ = ("size", "join", "meet")
 

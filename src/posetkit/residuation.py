@@ -136,8 +136,7 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
         for a in bits(mask):
             acc_row = list(map(and_, acc_row, rows[a]))
         table.append([index[acc] for acc in acc_row])
-    order = lattice.as_poset()
-    if _first_unadjoint_column(order, order.view.meet, table) is not None:
+    if _first_unadjoint_column(lattice, lattice.view.meet, table) is not None:
         raise InternalError("lifted star must be residual to the meet")
     for x in range(poset.n):
         for y in range(poset.n):

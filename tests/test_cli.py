@@ -364,6 +364,26 @@ def test_check_rejects_malformed_file(capsys, tmp_path):
     assert "parse error" in err
 
 
+# a and b have no join, so their closed set is named a∨b, like an element
+CLASHING_NAMES = ("elements: 0 a b c a∨b 1\n"
+                  "covers: 0<a 0<b a<c b<c a<a∨b b<a∨b c<1 a∨b<1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("complete",),
+    ("export", "--completion"),
+    ("check", "--property", "completion-distributive"),
+    ("check", "--property", "completion-orthomodular"),
+    ("check", "--property", "completion-modular"),
+])
+def test_clashing_completion_names_are_invalid_input(capsys, tmp_path, argv):
+    path = tmp_path / "clash.poset"
+    path.write_text(CLASHING_NAMES, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == "posetkit: invalid input: duplicate element names\n"
+
+
 def test_non_ascii_format_digit_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "squared.poset"
     path.write_text("format: ²\nelements: 0 1\ncovers: 0<1\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 """Dedekind-MacNeille completion: enumeration, lattice ops, involution."""
 
+from itertools import permutations
+
 import pytest
 
 from posetkit import corpus
@@ -9,8 +11,8 @@ from posetkit.completion import (
     check_join_meet_density,
     complete,
 )
-from posetkit.errors import SizeLimitExceeded
-from posetkit.poset import build_poset
+from posetkit.errors import PosetError, SizeLimitExceeded
+from posetkit.poset import FinitePoset, build_poset, is_antitone_involution
 
 SMALL_MEMBERS = ("chain2", "chain3", "ba4", "mo2", "benzene", "diamond")
 WITH_INVOLUTION = tuple(name for name in corpus.member_names()
@@ -58,6 +60,12 @@ def crown(k):
               + [(a[i], b[j]) for i in range(k) for j in range(k) if i != j])
     involution = [("0", "1")] + list(zip(a, b))
     return build_poset(["0"] + a + b + ["1"], covers, involution=involution)
+
+
+def validated(dm):
+    """The completion's rows, names and involution put through the full
+    validation of ``FinitePoset``: a plain poset independent of it."""
+    return FinitePoset(dm.names, dm.up, dm.inv)
 
 
 FAMILIES = {
@@ -134,11 +142,27 @@ def test_no_involution_to_induce():
     assert lattice.inv is None
 
 
+def test_no_involution_is_lifted_from_a_non_antitone_one():
+    """The lift is antitone because the base involution is, so a base
+    involution that is not antitone is not lifted.  Lifted anyway, some
+    would pass every other check: the identity on a chain, for one."""
+    count = 0
+    for poset in generate_small(5, "any", exhaustive=True):
+        for perm in permutations(range(poset.n)):
+            if any(perm[perm[i]] != i for i in range(poset.n)):
+                continue
+            flipped = FinitePoset(poset.names, poset.up, perm)
+            if not is_antitone_involution(flipped).holds:
+                assert complete(flipped).inv is None, (poset.names, perm)
+                count += 1
+    assert count > 100
+
+
 def test_lattice_ops_agree_with_the_poset_view():
-    """The tables of ``as_poset().view`` are intersection and its De Morgan
-    dual through the induced involution."""
+    """The tables of the completion's ``view`` are intersection and its De
+    Morgan dual through the induced involution."""
     lattice = complete(corpus.load("fig2"))
-    view = lattice.as_poset().view
+    view = lattice.view
     closed, index, inv = lattice.closed, lattice.index, lattice.inv
     for i, x in enumerate(closed):
         for j, y in enumerate(closed):
@@ -148,8 +172,17 @@ def test_lattice_ops_agree_with_the_poset_view():
 
 def test_new_elements_are_named_by_their_maximal_members():
     lattice = complete(corpus.load("fig1b"))
-    names = {lattice.name_of(k) for k in range(len(lattice))}
+    names = set(lattice.names)
     assert {"a∨c", "a∨d", "b∨c", "b∨d"} <= names
+
+
+def test_clashing_names_are_refused():
+    # a and b have no join, so their closed set would be named a∨b too
+    poset = build_poset(["0", "a", "b", "c", "a∨b", "1"],
+                        [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
+                         ("a", "a∨b"), ("b", "a∨b"), ("c", "1"), ("a∨b", "1")])
+    with pytest.raises(PosetError, match="^duplicate element names$"):
+        complete(poset)
 
 
 def test_size_cap():

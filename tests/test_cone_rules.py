@@ -38,6 +38,14 @@ those routes are oracles here, and the rows, involution, names,
 maximal orthogonal subsets (in order) and reports must come out the
 same.
 
+A completion used to be copied into a second poset that went through
+the full validation of ``FinitePoset``, and its lifted involution was
+walked for antitonicity up to 2000 closed sets.  It is now a poset built
+with nothing checked; the full validation of its rows, its down rows
+and the antitone walk of its involution are oracles on every completion
+of the generator families and the population, and on the completions of
+the crowns S_10 and S_12 in the ``exhaustive`` tier.
+
 ``orthocomplete`` used to walk every orthogonal subset for a join.  A
 finite lattice is complete, so on a lattice it now holds outright; the
 walk is the oracle on every lattice of the generator families and the
@@ -52,7 +60,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_completion import crown
+from test_completion import crown, validated
 
 from posetkit import checks, corpus
 from posetkit import poset as poset_module
@@ -579,12 +587,12 @@ def exchange_pairs(poset):
     lattice = outcome(complete, poset)
     if complemented(poset):
         zero = lattice.closed[lattice.bottom]
-        pairs.append((checks._exchange_violation(lattice.closed, lattice.up_rows(),
+        pairs.append((checks._exchange_violation(lattice.closed, lattice.up,
                                                  lattice.inv, zero),
                       closed_pair_sdc_violation(poset, lattice)))
     tables = []
     if not isinstance(lattice, tuple) and lattice.inv is not None:
-        tables.append((lattice.closed, lattice.up_rows(), lattice.inv, lattice.bottom))
+        tables.append((lattice.closed, lattice.up, lattice.inv, lattice.bottom))
     if poset.inv is not None and lattice_violation(poset) is None:
         tables.append((poset.down, poset.up, poset.inv, poset.bottom))
     for sets, ups, inv, bottom in tables:
@@ -630,8 +638,8 @@ def walked_distributive_poset(poset):
 
 def walked_distributive_lattice(lattice):
     """Lattice distributivity by the two first-triple walks over the
-    join and meet tables of the view, a completion's through ``as_poset()``."""
-    poset = lattice.as_poset() if isinstance(lattice, DMLattice) else lattice
+    join and meet tables of the view, a completion's through ``validated``."""
+    poset = validated(lattice) if isinstance(lattice, DMLattice) else lattice
     view = poset.view
     return checks._distributive_report(checks._lattice_distributive_violation(view, dual=False),
                                        checks._lattice_distributive_violation(view, dual=True),
@@ -641,13 +649,14 @@ def walked_distributive_lattice(lattice):
 def table_orthomodular_lattice(lattice):
     """Lattice orthomodularity with the complement guard and the identity
     walked over the join and meet tables of the view, a completion's
-    through ``as_poset()``."""
+    through ``validated``."""
     if isinstance(lattice, DMLattice):
         if lattice.inv is None:
             raise MissingInvolution("completion carries no involution")
         inv, bottom, top = lattice.inv, lattice.bottom, lattice.top
-        sets, ups = lattice.closed, lattice.up_rows()
-        view, names = lattice.as_poset().view, lattice.as_poset().names
+        sets, ups = lattice.closed, lattice.up
+        flat = validated(lattice)
+        view, names = flat.view, flat.names
     else:
         if lattice.inv is not None:
             anti = is_antitone_involution(lattice)
@@ -850,6 +859,18 @@ def full_bron_kerbosch(poset, universe):
     yield from expand(0, universe, 0)
 
 
+def assert_rows_pass_full_validation(lattice):
+    """The completion's rows, built with nothing checked, pass the full
+    validation of ``FinitePoset``; its down rows and bounds are the lazy
+    and direct ones, and its lifted involution, not walked when it is
+    built, is antitone."""
+    flat = validated(lattice)
+    assert flat.down == lattice.down
+    assert (flat.bottom, flat.top) == (lattice.bottom, lattice.top)
+    if lattice.inv is not None:
+        assert is_antitone_involution(flat).holds
+
+
 ORTHOGONALITY_REPORTS = ("finch", "orthocomplete")
 
 
@@ -863,19 +884,18 @@ def assert_generators_match(poset, names=ORTHOGONALITY_REPORTS):
     lattice = outcome(complete, poset)
     if isinstance(lattice, DMLattice):
         rows = element_up_rows(lattice)
-        assert lattice.generators() == tuple(scan_maximal(poset, mask)
-                                             for mask in lattice.closed)
-        assert lattice.up_rows() == rows
+        assert lattice.generators == tuple(scan_maximal(poset, mask)
+                                           for mask in lattice.closed)
+        assert lattice.up == rows
         if lattice.inv is not None:
             assert lattice.inv == element_images(lattice)
         else:
             assert outcome(is_antitone_involution, poset) != CheckReport(
                 "antitone-involution", True)
-        flat = lattice.as_poset()
-        assert flat.names == scanned_names(lattice)
-        assert flat.up == rows
-        assert flat.down == tuple(sum(1 << j for j, row in enumerate(rows) if row >> i & 1)
-                                  for i in range(len(rows)))
+        assert lattice.names == scanned_names(lattice)
+        assert lattice.down == tuple(sum(1 << j for j, row in enumerate(rows) if row >> i & 1)
+                                     for i in range(len(rows)))
+        assert_rows_pass_full_validation(lattice)
     if poset.inv is not None:
         assert dict(enumerate(poset.perp)) == pairwise_orthogonality_rows(poset, poset.full)
     if complemented(poset):
@@ -983,3 +1003,11 @@ def test_orthocomplete_on_lattices_matches_the_walk(prefixed, population):
 def test_generators_match_the_element_walks_on_crown10():
     finch, orthocomplete = assert_generators_match(crown(10))
     assert finch.holds and not orthocomplete.holds
+
+
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("k", (10, 12))
+def test_completion_rows_pass_full_validation_on_large_crowns(k):
+    lattice = complete(crown(k))
+    assert len(lattice) == 1 << k
+    assert_rows_pass_full_validation(lattice)

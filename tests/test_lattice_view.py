@@ -7,8 +7,9 @@ the same report, witness included, and bdm_transform the same tables.
 """
 
 import pytest
+from test_completion import validated
 
-from posetkit import checks, corpus
+from posetkit import checks, completion, corpus
 from posetkit import poset as poset_module
 from posetkit.checks import (
     PROPERTIES,
@@ -20,7 +21,7 @@ from posetkit.checks import (
 )
 from posetkit.completion import DMLattice, complete
 from posetkit.errors import MissingInvolution, NotALattice, NotComplemented, PosetError
-from posetkit.poset import FinitePoset, is_antitone_involution, lattice_violation
+from posetkit.poset import is_antitone_involution, lattice_violation
 from posetkit.report import CheckReport
 from posetkit.residuation import KINDS, bdm_transform, pseudocomplement_table
 
@@ -33,12 +34,12 @@ class ConeOps:
         if isinstance(lattice, DMLattice):
             dm = lattice
             self.size = len(dm)
-            self.names = [dm.name_of(k) for k in range(self.size)]
+            self.names = list(dm.names)
             self.inv = dm.inv
             self.bottom, self.top = dm.bottom, dm.top
             self.join = lambda i, j: dm.index[dm.base.closure(dm.closed[i] | dm.closed[j])]
             self.meet = lambda i, j: dm.index[dm.closed[i] & dm.closed[j]]
-            self.leq = dm.as_poset().leq
+            self.leq = validated(dm).leq
         else:
             poset = lattice
             bad = lattice_violation(poset)
@@ -54,7 +55,7 @@ class ConeOps:
 
 
 def oracle_orthomodular_lattice(lattice):
-    if isinstance(lattice, FinitePoset) and lattice.inv is not None:
+    if not isinstance(lattice, DMLattice) and lattice.inv is not None:
         anti = is_antitone_involution(lattice)
         if not anti.holds:
             raise NotComplemented("involution is not antitone: " + anti.details)
@@ -140,11 +141,11 @@ def assert_view_matches_oracles(poset, ctx=None):
         "completion-modular": lambda: renamed(
             oracle_modular_lattice(dm), "completion-modular"),
         "completion-distributive": lambda: renamed(
-            is_distributive_poset(dm.as_poset()), "completion-distributive"),
+            is_distributive_poset(validated(dm)), "completion-distributive"),
     }
     for name, oracle in oracles.items():
         assert outcome(PROPERTIES[name], ctx) == outcome(oracle), name
-    for lattice in (poset, dm.as_poset()):
+    for lattice in (poset, validated(dm)):
         for kind in KINDS:
             assert (outcome(lambda: astuple(bdm_transform(lattice, kind)))
                     == outcome(oracle_bdm_transform, lattice, kind)), kind
@@ -161,7 +162,7 @@ def test_view_matches_oracles_on_the_corpus(name):
 
 @pytest.mark.parametrize("name", corpus.member_names())
 def test_view_matches_oracles_on_corpus_completions(name):
-    assert_view_matches_oracles(complete(corpus.load(name)).as_poset())
+    assert_view_matches_oracles(validated(complete(corpus.load(name))))
 
 
 def test_view_matches_oracles_on_the_population(population):
@@ -171,7 +172,7 @@ def test_view_matches_oracles_on_the_population(population):
 
 def test_view_matches_oracles_on_population_completions(population):
     for row in population:
-        assert_view_matches_oracles(row["ctx"].dm.as_poset())
+        assert_view_matches_oracles(validated(row["ctx"].dm))
 
 
 def test_non_lattices_raise_the_witness_message():
@@ -213,15 +214,13 @@ def test_a_non_lattice_view_is_refused_once(monkeypatch):
     assert calls == [fig3]
 
 
-def test_passing_completion_laws_build_no_as_poset(monkeypatch):
-    built, real = [], DMLattice.as_poset
-    monkeypatch.setattr(DMLattice, "as_poset", lambda lattice: built.append(lattice) or real(lattice))
+def test_passing_completion_laws_build_no_view_and_no_down_rows():
     for name, props in (("fig1a", ("completion-distributive", "completion-orthomodular")),
                         ("ba16", ("completion-distributive", "completion-orthomodular")),
                         ("fig2", ("completion-orthomodular", "strongly-d-continuous"))):
         ctx = CheckContext(corpus.load(name))
         assert all(PROPERTIES[prop](ctx).holds for prop in props), name
-    assert built == []
+        assert ctx.dm._view is None and completion._down_rows not in ctx.dm._kept, name
 
 
 def test_distributive_lattice_agrees_with_the_cone_form():
@@ -234,7 +233,7 @@ def test_completion_join_is_the_closure_of_the_union():
     for name in ("fig2", "fig3", "diamond", "benzene"):
         dm = complete(corpus.load(name))
         ops = ConeOps(dm)
-        view = dm.as_poset().view
+        view = dm.view
         for i in range(len(dm)):
             for j in range(len(dm)):
                 assert view.join[i][j] == ops.join(i, j)
