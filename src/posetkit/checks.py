@@ -106,16 +106,13 @@ def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequen
     X ∨ ↓j, that is L(U(X) ∩ ↑j), holds no irreducible outside X ∪ ↓j,
     for every closed X not containing j; one lower cone per distinct
     U(X) ∩ ↑j.  The dual form swaps the cones and reads the lattice
-    through the U(X), so it asks the same of the meet-irreducibles."""
-    lo, up, below, above = ((base.lower_cone, base.upper_cone, base.down, base.up)
-                            if not dual else
-                            (base.upper_cone, base.lower_cone, base.up, base.down))
+    through the U(X), so it asks the same of the meet-irreducibles.  The
+    irreducibles of each form are kept on ``base``."""
+    lo, below, above = ((base.lower_cone, base.down, base.up) if not dual else
+                        (base.upper_cone, base.up, base.down))
     if dual:
         sets, cones = cones, sets
-    irreducible = 0
-    for x in range(base.n):
-        if lo(up(below[x] ^ (1 << x))) != below[x]:
-            irreducible |= 1 << x
+    irreducible = base.kept(_meet_irreducibles if dual else _join_irreducibles)
     joins = {}
     for closed, cone in zip(sets, cones):
         for j in bits(irreducible & ~closed):
@@ -126,6 +123,24 @@ def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequen
             if joined & irreducible & ~(closed | below[j]):
                 return True
     return False
+
+
+def _join_irreducibles(poset: FinitePoset) -> int:
+    """The x with closure(↓x \\ {x}) != ↓x, as a mask."""
+    return _irreducibles(poset.lower_cone, poset.upper_cone, poset.down)
+
+
+def _meet_irreducibles(poset: FinitePoset) -> int:
+    """The x with U(L(↑x \\ {x})) != ↑x, as a mask."""
+    return _irreducibles(poset.upper_cone, poset.lower_cone, poset.up)
+
+
+def _irreducibles(lo, up, rows: Sequence[int]) -> int:
+    out = 0
+    for x, row in enumerate(rows):
+        if lo(up(row ^ (1 << x))) != row:
+            out |= 1 << x
+    return out
 
 
 def is_distributive_poset(poset: FinitePoset) -> CheckReport:
@@ -144,22 +159,12 @@ def _distributive_poset_report(poset: FinitePoset) -> CheckReport:
 
 
 def is_distributive_lattice(lattice: FinitePoset) -> CheckReport:
-    """Distributivity of a lattice by Birkhoff's criterion, every
-    join-irreducible join-prime (Davey & Priestley 2002), decided
-    once on the join- and once on the meet-irreducibles.  Only a failure
-    reads the join and meet tables, to name the first triple at which
-    the lattice forms of the cone identities differ: the same verdict
-    and witness as :func:`is_distributive_poset`."""
-    if isinstance(lattice, DMLattice):
-        base, sets = lattice.base, lattice.closed
-        cones = [base.upper_cone(mask) for mask in sets]
-    else:
-        lattice.require_lattice()
-        base, sets, cones = lattice, lattice.down, lattice.up
-    fails = _irreducible_not_prime(base, sets, cones, dual=False)
-    if fails != _irreducible_not_prime(base, sets, cones, dual=True):
-        raise InternalError("the join-prime and meet-prime criteria must agree")
-    if not fails:
+    """Distributivity of a lattice by Birkhoff's criterion
+    (:func:`_distributive_law`).  Only a failure reads the join and meet
+    tables, to name the first triple at which the lattice forms of the
+    cone identities differ: the same verdict and witness as
+    :func:`is_distributive_poset`."""
+    if _distributive_law(lattice):
         return CheckReport("distributive", True)
     report = _distributive_report(_lattice_distributive_violation(lattice.view, dual=False),
                                   _lattice_distributive_violation(lattice.view, dual=True),
@@ -167,6 +172,26 @@ def is_distributive_lattice(lattice: FinitePoset) -> CheckReport:
     if report.holds:
         raise InternalError("a lattice failing Birkhoff's criterion must have a witness triple")
     return report
+
+
+def _distributive_law(lattice: FinitePoset) -> bool:
+    """Whether a lattice is distributive, with no witness: Birkhoff's
+    criterion, every join-irreducible join-prime (Davey & Priestley
+    2002), decided once on the join- and once on the meet-irreducibles."""
+    if isinstance(lattice, DMLattice):
+        base, sets, cones = lattice.base, lattice.closed, lattice.kept(_closed_upper_cones)
+    else:
+        lattice.require_lattice()
+        base, sets, cones = lattice, lattice.down, lattice.up
+    fails = _irreducible_not_prime(base, sets, cones, dual=False)
+    if fails != _irreducible_not_prime(base, sets, cones, dual=True):
+        raise InternalError("the join-prime and meet-prime criteria must agree")
+    return not fails
+
+
+def _closed_upper_cones(lattice: DMLattice) -> tuple[int, ...]:
+    """U(X) in the base for each closed set X of a completion."""
+    return tuple(map(lattice.base.upper_cone, lattice.closed))
 
 
 def is_boolean_poset(poset: FinitePoset) -> CheckReport:
@@ -240,17 +265,32 @@ def _completion_exchange_violation(lattice: DMLattice) -> tuple[int, int] | None
 
 
 def is_orthomodular_lattice(lattice: FinitePoset) -> CheckReport:
-    """Lattice orthomodularity via x v y = ((x v y) ^ y') v y, cross
-    checked against the x <= y, x' ^ y = 0 implies x = y condition.
+    """Lattice orthomodularity by :func:`_orthomodular_law`.  Only a
+    failure walks all pairs (x, y) in order, to name the first with
+    ((x v y) ^ y') v y != x v y."""
+    frame = _orthocomplemented(lattice)
+    if _orthomodular_law(lattice, frame):
+        return CheckReport("orthomodular-lattice", True)
+    sets, index, inv, _, _ = frame
+    primes = [sets[k] for k in inv]
+    for x, prime_x in enumerate(primes):
+        for y, prime_y in enumerate(primes):
+            a = prime_x & prime_y
+            if primes[index[primes[index[a]] & prime_y]] & prime_y != a:
+                return CheckReport("orthomodular-lattice", False,
+                                   witness={"x": lattice.names[x], "y": lattice.names[y]},
+                                   details="((x v y) ^ y') v y differs from x v y")
+    raise InternalError("a failed orthomodular identity must have a witness pair")
 
-    Element k is the down-set sets[k], found again by index[...], so a
-    meet is index[sets[a] & sets[b]] and a join, by De Morgan through
-    the involution, inv[index[sets[a'] & sets[b']]]: no table is built.
-    Through the involution the identity reads (a v y) ^ y' = a for
-    a = x' ^ y', and every a <= y' is such a meet (take x = a'), so it
-    is decided on the comparable pairs a <= y' alone; only a failure
-    walks all pairs (x, y) in order, to name the first.
-    """
+
+def _orthocomplemented(lattice: FinitePoset) -> tuple:
+    """The lattice as (sets, index, inv, bottom, top) once its involution
+    is known to be an orthocomplementation: element k is the down-set
+    sets[k], found again by index[...].  A completion's lifted involution
+    is antitone by construction; a lattice poset's is checked (kept).
+    Then each k must meet k' in 0 and join it in 1, O(m) lookups.
+    Raises MissingInvolution, NotComplemented, NotALattice or
+    MissingBounds where that fails."""
     if isinstance(lattice, DMLattice):
         if lattice.inv is None:
             raise MissingInvolution("completion carries no involution")
@@ -265,35 +305,39 @@ def is_orthomodular_lattice(lattice: FinitePoset) -> CheckReport:
         inv = lattice.require_involution()
         bottom, top = lattice.require_bounds()
         sets, index = lattice.down, lattice.by_down
-    ups, name_of = lattice.up, lattice.names.__getitem__
-    primes = [sets[k] for k in inv]  # primes[k] is the down-set of k'
     for k, row in enumerate(sets):
-        meet = index[row & primes[k]]
+        meet = index[row & sets[inv[k]]]
         if meet != bottom or inv[meet] != top:
-            raise NotComplemented(f"{name_of(k)} meets or joins its image improperly")
+            raise NotComplemented(f"{lattice.names[k]} meets or joins its image improperly")
+    return sets, index, inv, bottom, top
 
-    # a v y is the image of a' ^ y', and z stands for y'; by the guard
-    # above the law holds outright where a = z, a = 0 or z = 1
+
+def _orthomodular_law(lattice: FinitePoset, frame: tuple) -> bool:
+    """Whether an ortholattice, given as :func:`_orthocomplemented` returns
+    it, satisfies x v y = ((x v y) ^ y') v y, with no witness; cross
+    checked against the x <= y, x' ^ y = 0 implies x = y condition.
+
+    A meet is index[sets[a] & sets[b]] and a join, by De Morgan through
+    the involution, inv[index[sets[a'] & sets[b']]]: no table is built.
+    Through the involution the identity reads (a v y) ^ y' = a for
+    a = x' ^ y', and every a <= y' is such a meet (take x = a'), so it
+    is decided on the comparable pairs a <= y' alone.
+    """
+    sets, index, inv, bottom, top = frame
+    primes = [sets[k] for k in inv]  # primes[k] is the down-set of k'
+    # a v y is the image of a' ^ y', and z stands for y'; as k ^ k' = 0
+    # and k v k' = 1, the law holds outright where a = z, a = 0 or z = 1
     skip = 1 << top
     law = all(primes[index[primes[a] & sets[z]]] & sets[z] == sets[a]
-              for a, row in enumerate(ups) if a != bottom
+              for a, row in enumerate(lattice.up) if a != bottom
               for z in bits(row & ~(1 << a | skip)))
     if isinstance(lattice, DMLattice):
         exchange = lattice.kept(_completion_exchange_violation)
     else:
-        exchange = _exchange_violation(sets, ups, inv, sets[bottom])
+        exchange = _exchange_violation(sets, lattice.up, inv, sets[bottom])
     if law != (exchange is None):
         raise InternalError("orthomodular identity and exchange condition must agree")
-    if law:
-        return CheckReport("orthomodular-lattice", True)
-    for x, prime_x in enumerate(primes):
-        for y, prime_y in enumerate(primes):
-            a = prime_x & prime_y
-            if primes[index[primes[index[a]] & prime_y]] & prime_y != a:
-                return CheckReport("orthomodular-lattice", False,
-                                   witness={"x": name_of(x), "y": name_of(y)},
-                                   details="((x v y) ^ y') v y differs from x v y")
-    raise InternalError("a failed orthomodular identity must have a witness pair")
+    return law
 
 
 def find_modularity_violation(lattice: FinitePoset) -> dict | None:

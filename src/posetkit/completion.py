@@ -32,32 +32,42 @@ class DMLattice(FinitePoset):
         self.closed = tuple(closed)
         self.index = {mask: k for k, mask in enumerate(closed)}
         self.embed = tuple(self.index[row] for row in base.down)
+        # point[k] is the x with closed[k] = ↓x, or None: a principal set
+        # is read through x, its one maximal element
+        point = [None] * len(closed)
+        for x, k in enumerate(self.embed):
+            point[k] = x
         # closed sets are down-sets, so their maximal elements decide
         # inclusion (X inside Y exactly when max X is) and name them
-        self.generators = tuple(map(base.maximal_of, closed))
+        self.generators = tuple(base.maximal_of(mask) if x is None else 1 << x
+                                for x, mask in zip(point, closed))
         inv = None
         if base.inv is not None and is_antitone_involution(base).holds:
-            inv = self._lifted_involution()
-        self._store(*self._names_and_up_rows(), inv)
+            inv = self._lifted_involution(point)
+        self._store(*self._names_and_up_rows(point), inv)
         self.bottom = self.index[base.closure(0)]
         self.top = self.index[base.full]
 
     def __len__(self):
         return len(self.closed)
 
-    def _lifted_involution(self) -> tuple[int, ...]:
+    def _lifted_involution(self, point: list) -> tuple[int, ...]:
         """X -> L(X'-image), checked to be closed, involutive and to
         extend the base involution before it is trusted.  The base
         involution is antitone, so the images of the generators of X
-        already have the lower cone of all of X'-image.
+        already have the lower cone of all of X'-image, and the image of
+        a principal ↓x is ↓x'.
 
         The lift is antitone by construction.  If X is inside Y, each g in
         max X lies below some h in max Y, so h' <= g' as the base
         involution is antitone; every lower bound of the h' is then below
         each g', and L(inv max Y) is inside L(inv max X)."""
-        base = self.base
+        base, embed = self.base, self.embed
         star = []
-        for gens in self.generators:
+        for x, gens in zip(point, self.generators):
+            if x is not None:
+                star.append(embed[base.inv[x]])
+                continue
             image = base.lower_cone(base.inv_image(gens))
             if image not in self.index:
                 raise InternalError("involution image is not closed")
@@ -66,16 +76,16 @@ class DMLattice(FinitePoset):
             if star[star[k]] != k:
                 raise InternalError("induced involution is not involutive")
         for i in range(base.n):
-            if self.closed[star[self.embed[i]]] != base.down[base.inv[i]]:
+            if self.closed[star[embed[i]]] != base.down[base.inv[i]]:
                 raise InternalError("induced involution does not extend the base involution")
         return tuple(star)
 
-    def _names_and_up_rows(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    def _names_and_up_rows(self, point: list) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """One pass over the generators of each closed set, which name it
-        (a principal set gets its generator's plain name) and give its up
-        row: row i marks, by index, the closed sets that contain
-        closed[i], the AND over the generators g of closed[i] of the
-        closed sets holding g."""
+        and give its up row: row i marks, by index, the closed sets that
+        contain closed[i], the AND over the generators g of closed[i] of
+        the closed sets holding g.  A principal ↓x takes the plain name of
+        x and the holders of x as they are."""
         base_names, holders = self.base.names, [0] * self.base.n
         for k, mask in enumerate(self.closed):
             bit = 1 << k
@@ -83,9 +93,13 @@ class DMLattice(FinitePoset):
                 low = mask & -mask
                 mask ^= low
                 holders[low.bit_length() - 1] |= bit
-        names, rows = [], []
-        for mask in self.generators:
-            row, parts = (1 << len(self.closed)) - 1, []
+        names, rows, full = [], [], (1 << len(self.closed)) - 1
+        for x, mask in zip(point, self.generators):
+            if x is not None:
+                names.append(base_names[x])
+                rows.append(holders[x])
+                continue
+            row, parts = full, []
             while mask:
                 low = mask & -mask
                 mask ^= low

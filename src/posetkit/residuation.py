@@ -10,10 +10,11 @@ and the adjunction is the usual order one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_
+from operator import and_, eq
 
+from .checks import _distributive_law, _orthocomplemented, _orthomodular_law
 from .completion import DMLattice
-from .errors import InternalError, NoRelativePseudocomplement
+from .errors import InternalError, NoRelativePseudocomplement, NotComplemented
 from .poset import FinitePoset, bits
 from .report import CheckReport
 
@@ -113,8 +114,8 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     the row of L(a*b) over b in U(Y_j), then for each closed set X_i the
     intersection of the rows of its members.  The lift must really be
     relative pseudocomplementation on the completion, K ^ X <= Y iff
-    K <= X * Y, which is the Galois criterion of
-    ``_first_unadjoint_column`` for K -> K ^ X and Y -> X * Y; and it
+    K <= X * Y, which ``_first_unadjoint_column`` decides column by
+    column for K -> K ^ X and Y -> X * Y; and it
     must extend the base operation along the embedding.  Either failure
     raises InternalError.
     """
@@ -147,10 +148,16 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class ResiduatedOps:
-    """Element valued operations on a bounded lattice."""
+    """Element valued operations on a bounded lattice.
+
+    ``_lattice`` is the lattice :func:`bdm_transform` made them on, or
+    None.  It is a class attribute, not a field, so ``==``, ``repr``,
+    ``astuple`` and ``dataclasses.replace`` ignore it, and ops built by
+    hand or by ``replace`` keep None."""
     kind: str
     odot: tuple
     arrow: tuple
+    _lattice = None
 
 
 def bdm_transform(lattice: FinitePoset, kind: str,
@@ -174,61 +181,108 @@ def bdm_transform(lattice: FinitePoset, kind: str,
         else:
             odot = [[meet[join[x][inv[y]]][y] for y in ids] for x in ids]
             arrow = [[join[meet[x][y]][inv[x]] for y in ids] for x in ids]
-    return ResiduatedOps(kind, tuple(map(tuple, odot)), tuple(map(tuple, arrow)))
+    ops = ResiduatedOps(kind, tuple(map(tuple, odot)), tuple(map(tuple, arrow)))
+    object.__setattr__(ops, "_lattice", lattice)
+    return ops
+
+
+def _cover_walk(order: FinitePoset) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each element that has upper covers, with them, the elements with
+    the fewest elements above them first, so that every cover comes
+    before the elements it covers; kept on the order."""
+    covers = [[] for _ in range(order.n)]
+    for i, j in order.cover_pairs():
+        covers[i].append(j)
+    walk = sorted(range(order.n), key=lambda x: order.up[x].bit_count())
+    return tuple((x, tuple(covers[x])) for x in walk if covers[x])
+
+
+def _arrow_rows(order: FinitePoset, column) -> list[int]:
+    """Row x marks the z with x <= column[z].  Row v first collects the z
+    with column[z] = v; then each x, in the order of :func:`_cover_walk`,
+    ORs in the finished rows of its upper covers."""
+    rows = [0] * order.n
+    for z, v in enumerate(column):
+        rows[v] |= 1 << z
+    for x, covers in order.kept(_cover_walk):
+        row = rows[x]
+        for c in covers:
+            row |= rows[c]
+        rows[x] = row
+    return rows
 
 
 def _first_unadjoint_column(order: FinitePoset, odot, arrow) -> int | None:
     """First y at which x.y <= z and x <= y->z disagree for some x, z,
     or None.
 
-    For a fixed y the adjunction says f = (.y) and g = (y->.) form a
-    Galois connection, which holds exactly when f and g are isotone,
-    f(g(z)) <= z and x <= g(f(x)) (Davey & Priestley, Introduction to
-    Lattices and Order, 2002, ch. 7).  The equivalence holds for any
-    tables on any poset, column by column, and in a finite poset
-    isotonicity needs only the cover pairs: O(n*(n + covers)) membership
-    tests in all.
+    For each y the adjunction says that the z above x.y, the row
+    up[x.y], are the z with x <= y->z, the row :func:`_arrow_rows` gives
+    for x.  That is exact for any tables on any poset, and costs one
+    pass of O(n + covers) word ORs per column.
     """
-    leq = {(i, j) for i in range(order.n) for j in bits(order.up[i])}
-    covers = order.cover_pairs()
-    lows = [i for i, _ in covers]
-    highs = [j for _, j in covers]
-    ids = range(order.n)
-
-    def isotone(h) -> bool:
-        return leq.issuperset(zip(map(h.__getitem__, lows), map(h.__getitem__, highs)))
-
+    up = order.up
     for y, (f, g) in enumerate(zip(zip(*odot), arrow)):
-        if not (isotone(f) and isotone(g)
-                and leq.issuperset(zip(map(f.__getitem__, g), ids))
-                and leq.issuperset(zip(ids, map(g.__getitem__, f)))):
+        if _arrow_rows(order, g) != list(map(up.__getitem__, f)):
             return y
     return None
 
 
 def _adjunction_witness(lattice: FinitePoset, odot, arrow, y: int) -> tuple[int, int] | None:
     """First x, then first z, with x.y <= z and x <= y->z disagreeing,
-    or None.  The arrow column is transposed so both sides become one
-    mask comparison per x."""
-    below_arrow = [0] * lattice.n
-    for z in range(lattice.n):
-        for x in bits(lattice.down[arrow[y][z]]):
-            below_arrow[x] |= 1 << z
-    for x in range(lattice.n):
-        if lattice.up[odot[x][y]] != below_arrow[x]:
-            return x, next(bits(lattice.up[odot[x][y]] ^ below_arrow[x]))
+    or None: the rows of column y compared one x at a time."""
+    for x, row in enumerate(_arrow_rows(lattice, arrow[y])):
+        if lattice.up[odot[x][y]] != row:
+            return x, next(bits(lattice.up[odot[x][y]] ^ row))
     return None
+
+
+def _law_holds(lattice: FinitePoset, ops: ResiduatedOps) -> bool | None:
+    """Whether the lattice law that the adjunction of ``ops`` amounts to
+    holds, or None where no law is known to decide it: ops not made by
+    :func:`bdm_transform` on this very lattice, the ``relpseudo`` kind,
+    or an involution that is not an orthocomplementation."""
+    if ops._lattice is not lattice or ops.kind not in ("boolean", "pseudo_om"):
+        return None
+    try:
+        frame = _orthocomplemented(lattice)
+    except NotComplemented:
+        return None
+    if ops.kind == "boolean":
+        return _distributive_law(lattice)
+    return _orthomodular_law(lattice, frame)
 
 
 def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
                                    check_associativity: bool = False) -> CheckReport:
-    """Unit law and adjunction for element valued operations.
+    """Unit law and adjunction x.y <= z iff x <= y->z for element valued
+    operations.
 
-    The adjunction is decided column by column with the Galois criterion
-    of ``_first_unadjoint_column``.  On a failure the first failing y is
-    walked in full to name the first x, then the first z, where
-    x.y <= z and x <= y->z disagree; a criterion failure that the walk
-    cannot witness raises InternalError.
+    On an ortholattice L, with the ``boolean`` or ``pseudo_om`` ops that
+    :func:`bdm_transform` made on L, the adjunction is a lattice law:
+
+    * ``boolean`` (x.y = x ^ y, y->z = y' v z) holds iff L is
+      distributive, decided by Birkhoff's criterion.  A left adjoint
+      preserves joins, so (a v b) ^ y = (a ^ y) v (b ^ y).  Conversely a
+      distributive ortholattice is Boolean, and there x ^ y <= z gives
+      x = (x ^ y) v (x ^ y') <= z v y', while x <= y' v z gives
+      x ^ y <= (y' v z) ^ y = z ^ y.
+    * ``pseudo_om`` (the Sasaki projection x.y = (x v y') ^ y and
+      y->z = (y ^ z) v y') holds iff L is orthomodular (Foulis, Proc.
+      AMS 11, 1960; Kalmbach, Orthomodular Lattices, 1983, s. 5),
+      decided by the orthomodular law: a <= b implies b = a v (a' ^ b),
+      dually a = b ^ (b' v a).  If L is orthomodular, y' <= x v y' gives
+      x <= x v y' = y' v x.y, so x.y <= z implies x <= y' v (y ^ z);
+      and x <= y->z implies x.y <= (y->z).y = (y' v (y ^ z)) ^ y = y ^ z
+      by the dual law for y ^ z <= y.  Conversely, for a <= b the
+      adjunction at x = b, y = a' gives b <= a' -> (b.a') =
+      ((b v a) ^ a') v a = (b ^ a') v a, and so b = a v (a' ^ b).
+
+    Anywhere else the tables are read column by column with
+    ``_first_unadjoint_column``.  On a failure the first failing y is
+    walked in full to name the first x, then the first z, where the two
+    sides disagree; a failed law whose columns all pass, or a failing
+    column the walk cannot witness, raises InternalError.
 
     Commutativity of odot is reported as a flag; associativity too when
     asked for, and neither is required for the check to hold.
@@ -238,8 +292,7 @@ def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
     names = lattice.names
     odot, arrow = ops.odot, ops.arrow
 
-    commutative = all(odot[x][y] == odot[y][x]
-                      for x in range(n) for y in range(x + 1, n))
+    commutative = all(map(eq, map(tuple, odot), zip(*odot)))
     associative = "unchecked"
     if check_associativity:
         associative = "yes" if all(
@@ -252,8 +305,13 @@ def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
         if odot[x][top] != x or odot[top][x] != x:
             return CheckReport("left-residuated-lattice", False,
                                witness={"axiom": "unit", "x": names[x]}, extra=flags)
+    law = _law_holds(lattice, ops)
+    if law:
+        return CheckReport("left-residuated-lattice", True, extra=flags)
     y = _first_unadjoint_column(lattice, odot, arrow)
     if y is None:
+        if law is False:
+            raise InternalError("lattice law and Galois criterion must agree")
         return CheckReport("left-residuated-lattice", True, extra=flags)
     found = _adjunction_witness(lattice, odot, arrow, y)
     if found is None:

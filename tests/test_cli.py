@@ -327,12 +327,14 @@ residuation._first_unadjoint_column = lambda *args: 0
 
 
 def test_flagged_passing_column_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(residuation, "_first_unadjoint_column", lambda *args: 0)
+    # fig1a's completion is Boolean, so the law decides boolean and no
+    # column is walked; a failed law sends the walk to columns that all pass
+    monkeypatch.setattr(residuation, "_law_holds", lambda *args: False)
     code, out, err = run(capsys, "residuate", "fig1a", "--kind", "boolean",
                          "--on-completion")
     assert (code, out) == (4, "")
     assert err == ("posetkit: internal error: "
-                   "Galois criterion and adjunction walk must agree\n")
+                   "lattice law and Galois criterion must agree\n")
     src = str(Path(posetkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     script = _FLAG_EVERY_COLUMN + (

@@ -46,6 +46,13 @@ and the antitone walk of its involution are oracles on every completion
 of the generator families and the population, and on the completions of
 the crowns S_10 and S_12 in the ``exhaustive`` tier.
 
+A completion used to find the generator, name, up row and involution
+image of every closed set through ``maximal_of``, its holders and a
+lower cone of inverted generators.  A principal ↓x is now read through
+x; on every lattice of the generator families and the population the
+completion must be the base renumbered, and ``maximal_of`` must run for
+the other closed sets only.
+
 ``orthocomplete`` used to walk every orthogonal subset for a join.  A
 finite lattice is complete, so on a lattice it now holds outright; the
 walk is the oracle on every lattice of the generator families and the
@@ -967,6 +974,43 @@ def test_generators_and_orthogonality_table_match_on_the_population(population):
     for row in population:
         count_verdicts(assert_generators_match(row["poset"]), verdicts)
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def assert_principal_reading(poset):
+    """A completion reads each principal closed set through its point:
+    ``maximal_of`` runs once for each other closed set, in order, and on a
+    lattice, where every closed set is principal, the names, up rows and
+    involution are the base's renumbered by closed[embed[x]] = down[x]."""
+    lattice = outcome(complete, poset)
+    if not isinstance(lattice, DMLattice):
+        return
+    asked = []
+    real = FinitePoset.maximal_of
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FinitePoset, "maximal_of",
+                      lambda self, subset: asked.append(subset) or real(self, subset))
+        again = complete(poset)
+    principal = set(poset.down)
+    assert asked == [mask for mask in again.closed if mask not in principal]
+    assert (again.names, again.up, again.inv) == (lattice.names, lattice.up, lattice.inv)
+    if lattice_violation(poset) is not None:
+        return
+    embed = lattice.embed
+    assert sorted(embed) == list(range(len(lattice))) and not asked
+    for x in range(poset.n):
+        k = embed[x]
+        assert lattice.names[k] == poset.names[x]
+        assert lattice.up[k] == sum(1 << embed[y] for y in bits(poset.up[x]))
+        if lattice.inv is not None:
+            assert lattice.inv[k] == embed[poset.inv[x]]
+
+
+def test_principal_closed_sets_are_read_through_the_embedding(prefixed, population):
+    lattices = 0
+    for poset in [*generator_families(prefixed), *(row["poset"] for row in population)]:
+        assert_principal_reading(poset)
+        lattices += lattice_violation(poset) is None
+    assert lattices > 500, lattices
 
 
 def walked_orthocomplete(ctx):

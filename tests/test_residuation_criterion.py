@@ -1,4 +1,4 @@
-"""The Galois criterion against the walks it replaced.
+"""The residuation routes against the walks they replaced.
 
 ``verify_left_residuated_lattice`` used to transpose every column of the
 arrow table and compare each x.y with the transposed column, and
@@ -6,11 +6,27 @@ arrow table and compare each x.y with the transposed column, and
 once and to check its invariant with two O(m^3) scans.  Both routes are
 kept here as oracles: every report, witness and flags included, and
 every lifted star table must come out the same.
+
+The columns were then decided by the Galois criterion over a set of all
+comparable pairs: both maps isotone on cover pairs, (y->z).y <= z and
+x <= y->(x.y).  One pass of bit rows per column replaced it, and the
+pair set is an oracle here: the same first failing column, or none, on
+drawn tables and on every kind's tables of the generator families of
+``test_cone_rules`` and the population.
+
+On an ortholattice the ``boolean`` and ``pseudo_om`` verdicts now rest
+on the distributive and orthomodular laws.  The table route, which
+``dataclasses.replace`` forces, is the oracle on every completion of
+those families and of crown S_10 in the ``exhaustive`` tier: verdict,
+witness and flags must be the same.
 """
+
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_completion import crown
+from test_completion import crown, validated
+from test_cone_rules import complemented, generator_families
 
 from posetkit import corpus, residuation
 from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES
@@ -69,6 +85,27 @@ def first_failing_column(lattice, odot, arrow):
             for z in range(lattice.n):
                 if lattice.leq(odot[x][y], z) != lattice.leq(x, arrow[y][z]):
                     return y
+    return None
+
+
+def pair_set_first_column(order, odot, arrow):
+    """The Galois criterion over a set of all comparable pairs: for each
+    y, x -> x.y and z -> y->z isotone on the cover pairs, (y->z).y <= z
+    and x <= y->(x.y) (Davey & Priestley 2002, ch. 7)."""
+    leq = {(i, j) for i in range(order.n) for j in bits(order.up[i])}
+    covers = order.cover_pairs()
+    lows = [i for i, _ in covers]
+    highs = [j for _, j in covers]
+    ids = range(order.n)
+
+    def isotone(h):
+        return leq.issuperset(zip(map(h.__getitem__, lows), map(h.__getitem__, highs)))
+
+    for y, (f, g) in enumerate(zip(zip(*odot), arrow)):
+        if not (isotone(f) and isotone(g)
+                and leq.issuperset(zip(map(f.__getitem__, g), ids))
+                and leq.issuperset(zip(ids, map(g.__getitem__, f)))):
+            return y
     return None
 
 
@@ -184,8 +221,9 @@ def tables(draw):
 @given(tables())
 def test_criterion_matches_the_walk_on_arbitrary_tables(drawn):
     lattice, ops = drawn
-    assert (residuation._first_unadjoint_column(lattice, ops.odot, ops.arrow)
-            == first_failing_column(lattice, ops.odot, ops.arrow))
+    column = residuation._first_unadjoint_column(lattice, ops.odot, ops.arrow)
+    assert column == first_failing_column(lattice, ops.odot, ops.arrow)
+    assert column == pair_set_first_column(lattice, ops.odot, ops.arrow)
     assert verify_left_residuated_lattice(lattice, ops) == walk_verify(lattice, ops)
 
 
@@ -248,4 +286,92 @@ def test_completion_verdicts_of_the_kinds(population):
                                ("boolean", row["completion_oml"] and distributive)):
             verdict = verify_left_residuated_lattice(completed, bdm_transform(completed, kind))
             assert verdict.holds == expected, (kind, row["poset"].names)
+
+
+
+# -- the lattice laws and the bit-row pass against the table route -------------
+
+
+def kind_ops(poset, lattice):
+    """The ops of each kind on the completion that its preconditions allow,
+    relpseudo with the lifted star."""
+    for kind in KINDS:
+        try:
+            star = star_on_dm(poset, lattice) if kind == "relpseudo" else None
+            yield bdm_transform(lattice, kind, star)
+        except (NoRelativePseudocomplement,) + PRECONDITION_ERRORS:
+            pass
+
+
+def assert_routes_agree(poset, lattice, verdicts):
+    """On the completion: the same first column from the bit rows as from
+    the pair set, for every kind's tables; the same report from the law
+    route as from the table route, which a complemented poset's
+    ``boolean`` and ``pseudo_om`` ops take no other way."""
+    for ops in kind_ops(poset, lattice):
+        column = residuation._first_unadjoint_column(lattice, ops.odot, ops.arrow)
+        assert column == pair_set_first_column(lattice, ops.odot, ops.arrow), ops.kind
+        law = residuation._law_holds(lattice, ops)
+        assert (law is not None) == (ops.kind != "relpseudo" and complemented(poset))
+        report = verify_left_residuated_lattice(lattice, ops)
+        assert report == verify_left_residuated_lattice(lattice, replace(ops)), ops.kind
+        assert report.holds == (column is None)
+        if law is not None:
+            assert law == report.holds
+            verdicts[ops.kind, law] += 1
+
+
+def test_law_route_and_bit_rows_match_the_table_route_on_the_families(prefixed):
+    verdicts = dict.fromkeys(((kind, law) for kind in ("boolean", "pseudo_om")
+                              for law in (True, False)), 0)
+    for poset in generator_families(prefixed):
+        assert_routes_agree(poset, complete(poset), verdicts)
+    # both laws both hold and fail
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_law_route_and_bit_rows_match_the_table_route_on_the_population(population):
+    verdicts = dict.fromkeys(((kind, law) for kind in ("boolean", "pseudo_om")
+                              for law in (True, False)), 0)
+    for row in population:
+        assert_routes_agree(row["poset"], row["ctx"].dm, verdicts)
+    assert all(verdicts.values()), verdicts
+
+
+@pytest.mark.exhaustive
+def test_law_route_matches_the_table_route_on_crown10():
+    poset = crown(10)
+    lattice = complete(poset)
+    verdicts = {("boolean", True): 0, ("pseudo_om", True): 0}
+    assert_routes_agree(poset, lattice, verdicts)
+    assert verdicts == {("boolean", True): 1, ("pseudo_om", True): 1}
+
+
+def test_hand_built_and_replaced_ops_take_the_table_route(monkeypatch):
+    calls = []
+    real = residuation._first_unadjoint_column
+    monkeypatch.setattr(residuation, "_first_unadjoint_column",
+                        lambda *args: calls.append(1) or real(*args))
+    lattice = complete(corpus.boolean_algebra(4))
+    for kind in ("boolean", "pseudo_om"):
+        ops = bdm_transform(lattice, kind)
+        hand = ResiduatedOps(kind, ops.odot, ops.arrow)
+        # the provenance is no field: equality, repr and astuple ignore it
+        assert (hand, repr(hand), astuple(hand)) == (ops, repr(ops), astuple(ops))
+        arrow = [list(row) for row in ops.arrow]
+        arrow[3][5] = (arrow[3][5] + 1) % lattice.n
+        flipped = replace(ops, arrow=tuple(map(tuple, arrow)))
+        on_a_copy = bdm_transform(validated(lattice), kind)
+        assert residuation._law_holds(lattice, ops) is True
+        for other in (hand, flipped, on_a_copy):
+            assert residuation._law_holds(lattice, other) is None
+        calls.clear()
+        assert verify_left_residuated_lattice(lattice, ops).holds
+        assert calls == []
+        for other in (hand, on_a_copy):
+            assert verify_left_residuated_lattice(lattice, other).holds
+        report = verify_left_residuated_lattice(lattice, flipped)
+        assert report == walk_verify(lattice, flipped)
+        assert not report.holds
+        assert len(calls) == 3
 
