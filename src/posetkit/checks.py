@@ -23,9 +23,10 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .poset import (
+    _join_irreducibles,
+    _meet_irreducibles,
     ElementSet,
     FinitePoset,
-    LatticeView,
     bits,
     is_antitone_involution,
     is_complementation,
@@ -46,41 +47,59 @@ def _distributive_violation(poset: FinitePoset, dual: bool) -> tuple | None:
     closure, as L(U(A),z) = LU(A) ∩ ↓z.  U turns unions into
     intersections, so the right side is L(T[x][z] ∩ T[y][z]) with the
     pair table T[a][z] = U(↓a ∩ ↓z): one AND per triple, and one lower
-    cone per distinct mask.  Both sides are symmetric in x and y, so a
-    pair y < x already passed as (y, x) and is skipped; the first
-    violation is the one the full walk meets first."""
-    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
-                     else (poset.upper_cone, poset.lower_cone, poset.up))
-    n = poset.n
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for z in range(a, n):
-            table[a][z] = table[z][a] = up(below[a] & below[z])
-    lower = {}
-    for x in range(n):
-        row_x = table[x]
-        for y in range(x, n):
-            closed = lo(up((1 << x) | (1 << y)))
-            for z, mask in enumerate(map(int.__and__, row_x, table[y])):
-                rhs = lower.get(mask)
+    cone per distinct mask.  A principal cone is looked up, not worked
+    out: U(↓m) = ↑m and L(↑m) = ↓m, so on a lattice every cone is one
+    lookup.  Each row of T is built on first use.
+
+    Only triples where the identity can fail are visited, so the first
+    violation is the one the full walk over all x, y, z meets first:
+
+    * both sides are symmetric in x and y, so a pair y < x already
+      passed as (y, x);
+    * for comparable x, y, with m the larger, LU(x,y) = ↓m and the union
+      of L(x,z) and L(y,z) is the lower cone ↓m ∩ ↓z, which is closed:
+      both sides are ↓m ∩ ↓z;
+    * for z in ↓x ∪ ↓y, say z <= x, ↓z lies in LU(x,y) and L(x,z) = ↓z:
+      both sides are ↓z;
+    * for z in U(x,y), LU(x,y) lies in ↓z and L(x,z) ∪ L(y,z) = ↓x ∪ ↓y:
+      both sides are LU(x,y).
+
+    The dual form skips the dual triples: comparable x, y, and z in
+    ↑x ∪ ↑y or in L(x,y)."""
+    if not dual:
+        lo, up, below, above = poset.lower_cone, poset.upper_cone, poset.down, poset.up
+        by_below, by_above = poset.by_down, poset.by_up
+    else:
+        lo, up, below, above = poset.upper_cone, poset.lower_cone, poset.up, poset.down
+        by_below, by_above = poset.by_up, poset.by_down
+
+    def upper(mask: int) -> int:
+        m = by_below.get(mask)
+        return up(mask) if m is None else above[m]
+
+    def lower(mask: int) -> int:
+        m = by_above.get(mask)
+        return lo(mask) if m is None else below[m]
+
+    table = [None] * poset.n
+
+    def row(a: int) -> list[int]:
+        if table[a] is None:
+            table[a] = [upper(below[a] & b) for b in below]
+        return table[a]
+
+    lowers, full = {}, poset.full
+    for x in range(poset.n):
+        # the y > x incomparable to x; -(2 << x) marks the ids above x
+        for y in bits(full & ~(below[x] | above[x]) & -(2 << x)):
+            row_x, row_y = row(x), row(y)
+            closed = lower(above[x] & above[y])
+            for z in bits(full & ~(below[x] | below[y] | above[x] & above[y])):
+                mask = row_x[z] & row_y[z]
+                rhs = lowers.get(mask)
                 if rhs is None:
-                    rhs = lower[mask] = lo(mask)
+                    rhs = lowers[mask] = lower(mask)
                 if closed & below[z] != rhs:
-                    return (x, y, z)
-    return None
-
-
-def _lattice_distributive_violation(view: LatticeView, dual: bool) -> tuple | None:
-    """The cone identities on a lattice, where every cone is principal:
-    L(U(x,y),z) is L((x v y) ^ z) and LU(L(x,z),L(y,z)) is
-    L((x ^ z) v (y ^ z)); the dual form swaps join and meet.  Triples
-    are visited in the order of :func:`_distributive_violation`."""
-    join, meet = (view.join, view.meet) if not dual else (view.meet, view.join)
-    for x in range(view.size):
-        for y in range(view.size):
-            lhs = meet[join[x][y]]
-            for z in range(view.size):
-                if lhs[z] != join[meet[x][z]][meet[y][z]]:
                     return (x, y, z)
     return None
 
@@ -125,24 +144,6 @@ def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequen
     return False
 
 
-def _join_irreducibles(poset: FinitePoset) -> int:
-    """The x with closure(↓x \\ {x}) != ↓x, as a mask."""
-    return _irreducibles(poset.lower_cone, poset.upper_cone, poset.down)
-
-
-def _meet_irreducibles(poset: FinitePoset) -> int:
-    """The x with U(L(↑x \\ {x})) != ↑x, as a mask."""
-    return _irreducibles(poset.upper_cone, poset.lower_cone, poset.up)
-
-
-def _irreducibles(lo, up, rows: Sequence[int]) -> int:
-    out = 0
-    for x, row in enumerate(rows):
-        if lo(up(row ^ (1 << x))) != row:
-            out |= 1 << x
-    return out
-
-
 def is_distributive_poset(poset: FinitePoset) -> CheckReport:
     """Cone distributivity; kept.  On a lattice the cones are principal and
     the identities are the distributive law, so Birkhoff's criterion
@@ -160,14 +161,14 @@ def _distributive_poset_report(poset: FinitePoset) -> CheckReport:
 
 def is_distributive_lattice(lattice: FinitePoset) -> CheckReport:
     """Distributivity of a lattice by Birkhoff's criterion
-    (:func:`_distributive_law`).  Only a failure reads the join and meet
-    tables, to name the first triple at which the lattice forms of the
-    cone identities differ: the same verdict and witness as
+    (:func:`_distributive_law`).  Only a failure walks the cone
+    identities, to name the first triple where they differ; on a lattice
+    they are the distributive law, so this is the verdict and witness of
     :func:`is_distributive_poset`."""
     if _distributive_law(lattice):
         return CheckReport("distributive", True)
-    report = _distributive_report(_lattice_distributive_violation(lattice.view, dual=False),
-                                  _lattice_distributive_violation(lattice.view, dual=True),
+    report = _distributive_report(_distributive_violation(lattice, dual=False),
+                                  _distributive_violation(lattice, dual=True),
                                   lattice.names.__getitem__)
     if report.holds:
         raise InternalError("a lattice failing Birkhoff's criterion must have a witness triple")
@@ -340,24 +341,79 @@ def _orthomodular_law(lattice: FinitePoset, frame: tuple) -> bool:
     return law
 
 
+def _lattice_ops(lattice: FinitePoset) -> tuple:
+    """Element-valued join and meet of a lattice, with no table: a join
+    is the principal up-set ↑a ∩ ↑b looked up in ``by_up``, a meet the
+    down-set ↓a ∩ ↓b in ``by_down``, on a completion the intersection of
+    two closed sets in its ``index``.  Raises NotALattice on a poset
+    that is not one."""
+    lattice.require_lattice()
+    up, by_up = lattice.up, lattice.by_up
+
+    def join(a: int, b: int) -> int:
+        return by_up[up[a] & up[b]]
+
+    if isinstance(lattice, DMLattice):
+        sets, index = lattice.closed, lattice.index
+    else:
+        sets, index = lattice.down, lattice.by_down
+
+    def meet(a: int, b: int) -> int:
+        return index[sets[a] & sets[b]]
+
+    return join, meet
+
+
 def find_modularity_violation(lattice: FinitePoset) -> dict | None:
-    """First x <= z and y with x v (y ^ z) != (x v y) ^ z, or None."""
-    view, names = lattice.view, lattice.names
-    join, meet, size = view.join, view.meet, view.size
-    for x in range(size):
-        for z in range(size):
-            if x == z or meet[x][z] != x:
-                continue
-            for y in range(size):
-                if join[x][meet[y][z]] != meet[join[x][y]][z]:
+    """First x < z and y with x v (y ^ z) != (x v y) ^ z, or None.
+
+    x = z passes outright, and so does every y comparable to x or to z,
+    so only the y incomparable to both are visited and the first
+    violation is the one the walk over all y meets first:
+
+    * y <= x: y ^ z = y, and both sides are x;
+    * y >= x: x v y = y, and both sides are y ^ z;
+    * y <= z: y ^ z = y, and both sides are x v y;
+    * y >= z: x v y >= z, and both sides are z.
+    """
+    join, meet = _lattice_ops(lattice)
+    up, down, full, names = lattice.up, lattice.down, lattice.full, lattice.names
+    for x in range(lattice.n):
+        for z in bits(up[x] & ~(1 << x)):
+            for y in bits(full & ~(up[x] | down[x] | up[z] | down[z])):
+                if join(x, meet(y, z)) != meet(join(x, y), z):
                     return {"x": names[x], "y": names[y], "z": names[z]}
     return None
 
 
+def _semimodular(lattice: FinitePoset) -> bool:
+    """Whether a lattice is upper and lower semimodular, which in finite
+    length is modularity (Grätzer, Lattice Theory: Foundation, 2011).
+    Upper: two upper covers a, b of one element have a join covering
+    both; lower, dually, two lower covers have a meet covered by both.
+    Read on the kept cover rows, one join or meet per pair of covers."""
+    join, meet = _lattice_ops(lattice)
+    for rows, op in ((lattice.upper_covers, join), (lattice.lower_covers, meet)):
+        for row in rows:
+            covers = list(bits(row))
+            for i, a in enumerate(covers):
+                for b in covers[i + 1:]:
+                    c = 1 << op(a, b)
+                    if not rows[a] & rows[b] & c:
+                        return False
+    return True
+
+
 def is_modular_lattice(lattice: FinitePoset) -> CheckReport:
+    """Modularity by semimodularity on covers (:func:`_semimodular`).
+    Only a failure walks the triples of
+    :func:`find_modularity_violation`, to name the first witness; a walk
+    that finds none raises InternalError."""
+    if _semimodular(lattice):
+        return CheckReport("modular", True)
     bad = find_modularity_violation(lattice)
     if bad is None:
-        return CheckReport("modular", True)
+        raise InternalError("semimodularity and the modular law must agree")
     return CheckReport("modular", False, witness=bad,
                        details="x v (y ^ z) differs from (x v y) ^ z for x <= z")
 

@@ -12,7 +12,7 @@ the canonical order on completion elements.
 from __future__ import annotations
 
 from .errors import InternalError, SizeLimitExceeded
-from .poset import FinitePoset, is_antitone_involution
+from .poset import FinitePoset, _join_irreducibles, bits, is_antitone_involution, transposed
 from .report import CheckReport
 
 DEFAULT_MAX_CLOSED_SETS = 100_000
@@ -113,9 +113,15 @@ class DMLattice(FinitePoset):
     @property
     def down(self) -> tuple[int, ...]:
         """Row k marks, by index, the closed sets inside closed[k]: the up
-        rows transposed, built on first use and kept.  Only table, cover
-        and serialisation readers need them."""
+        rows transposed, built on first use and kept.  Only the tables, the
+        witness walks and serialisation read them."""
         return self.kept(_down_rows)
+
+    @property
+    def upper_covers(self) -> tuple[int, ...]:
+        """Row k marks, by index, the closed sets covering closed[k], found
+        by joins with the join-irreducibles (:func:`_cover_rows`); kept."""
+        return self.kept(_cover_rows)
 
     def require_lattice(self) -> None:
         """Nothing to check: the closed sets of any poset form a complete
@@ -128,13 +134,35 @@ class DMLattice(FinitePoset):
 
 
 def _down_rows(lattice: DMLattice) -> tuple[int, ...]:
-    rows = [0] * lattice.n
-    for i, row in enumerate(lattice.up):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            row ^= low
-            rows[low.bit_length() - 1] |= bit
+    return transposed(lattice.up)
+
+
+def _cover_rows(lattice: DMLattice) -> tuple[int, ...]:
+    """Row k marks, by index, the closed sets covering X = closed[k].
+    Every closed Y above X is the join of the join-irreducibles below it,
+    which are principal, the ↓j with j in the kept mask J of the base
+    (see ``poset._join_irreducibles``), and one of them is not inside X;
+    so Y holds C_j = X v ↓j = closure(X ∪ ↓j) for some j in J outside X,
+    and the covers of X are the minimal C_j (Ganter & Wille, Formal
+    Concept Analysis, 1999).  A C_j is minimal exactly when every j' of
+    J in C_j \\ X gives C_j again: a j' whose C_j' differs has C_j'
+    inside C_j, and properly so.  Each C_j is one join, the up rows of X
+    and ↓j ANDed and looked up in ``by_up``: O(m·|J|) of them."""
+    irreducible = lattice.base.kept(_join_irreducibles)
+    points = [(1 << j, lattice.embed[j]) for j in bits(irreducible)]
+    closed, up, by_up = lattice.closed, lattice.up, lattice.by_up
+    rows = []
+    for mask, row_x in zip(closed, up):
+        found = {}
+        for low, k in points:
+            if not mask & low:
+                c = by_up[row_x & up[k]]
+                found[c] = found.get(c, 0) | low
+        row = 0
+        for c, outside in found.items():
+            if outside == closed[c] & irreducible & ~mask:
+                row |= 1 << c
+        rows.append(row)
     return tuple(rows)
 
 

@@ -23,7 +23,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleError,
@@ -296,19 +296,74 @@ class FinitePoset:
                 out |= 1 << i
         return out
 
+    @property
+    def upper_covers(self) -> tuple[ElementSet, ...]:
+        """Row i marks the elements covering i, the minimal elements of
+        the strict up-set of i; kept."""
+        return self.kept(_upper_cover_rows)
+
+    @property
+    def lower_covers(self) -> tuple[ElementSet, ...]:
+        """Row i marks the elements i covers: :attr:`upper_covers`
+        transposed; kept."""
+        return self.kept(_lower_cover_rows)
+
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All cover edges (i, j) with j covering i, in id order."""
-        out = []
-        for i in range(self.n):
-            strict_up = self.up[i] & ~(1 << i)
-            for j in bits(strict_up):
-                between = strict_up & self.down[j] & ~(1 << j)
-                if between == 0:
-                    out.append((i, j))
-        return out
+        return [(i, j) for i, row in enumerate(self.upper_covers) for j in bits(row)]
 
     def __repr__(self):
         return f"FinitePoset({self.n} elements)"
+
+
+def transposed(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of a square bit matrix turned into its columns: row j of
+    the result marks the i whose row marks j."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            row ^= low
+            out[low.bit_length() - 1] |= bit
+    return tuple(out)
+
+
+def _upper_cover_rows(poset: FinitePoset) -> tuple[ElementSet, ...]:
+    down, rows = poset.down, []
+    for i, row in enumerate(poset.up):
+        strict = row & ~(1 << i)
+        covers = 0
+        rest = strict
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if down[low.bit_length() - 1] & strict == low:
+                covers |= low
+        rows.append(covers)
+    return tuple(rows)
+
+
+def _lower_cover_rows(poset: FinitePoset) -> tuple[ElementSet, ...]:
+    return transposed(poset.upper_covers)
+
+
+def _join_irreducibles(poset: FinitePoset) -> int:
+    """The x with closure(↓x \\ {x}) != ↓x, as a mask."""
+    return _irreducibles(poset.lower_cone, poset.upper_cone, poset.down)
+
+
+def _meet_irreducibles(poset: FinitePoset) -> int:
+    """The x with U(L(↑x \\ {x})) != ↑x, as a mask."""
+    return _irreducibles(poset.upper_cone, poset.lower_cone, poset.up)
+
+
+def _irreducibles(lo, up, rows: Sequence[int]) -> int:
+    out = 0
+    for x, row in enumerate(rows):
+        if lo(up(row ^ (1 << x))) != row:
+            out |= 1 << x
+    return out
 
 
 class LatticeView:

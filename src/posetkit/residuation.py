@@ -32,13 +32,25 @@ def relative_pseudocomplement(poset: FinitePoset, x: int, y: int) -> int | None:
 
 
 def pseudocomplement_table(poset: FinitePoset) -> list[list[int]]:
-    ids = range(poset.n)
-    table = [[relative_pseudocomplement(poset, x, y) for y in ids] for x in ids]
+    """Row x, column y is x * y, as fresh lists; raises
+    NoRelativePseudocomplement naming the first pair without one."""
+    return [list(row) for row in _star_table(poset)]
+
+
+def _star_table(poset: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    """The table of :func:`pseudocomplement_table` as tuples, read from
+    the one kept on the poset; raises NoRelativePseudocomplement."""
+    table = poset.kept(_relative_pseudocomplements)
     for x, row in enumerate(table):
         if None in row:
             raise NoRelativePseudocomplement(
                 f"{poset.names[x]} * {poset.names[row.index(None)]} does not exist")
     return table
+
+
+def _relative_pseudocomplements(poset: FinitePoset) -> tuple[tuple[int | None, ...], ...]:
+    ids = range(poset.n)
+    return tuple(tuple(relative_pseudocomplement(poset, x, y) for y in ids) for x in ids)
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ def operator_pair(poset: FinitePoset, kind: str) -> OperatorPair:
     bottom, _ = poset.require_bounds()
     closure, down, ids = poset.closure, poset.down, range(poset.n)
     if kind == "relpseudo":
-        star = pseudocomplement_table(poset)
+        star = _star_table(poset)
         comp = tuple(row[bottom] for row in star)
         mul = [[down[x] & down[y] for y in ids] for x in ids]
         res = [[down[s] for s in row] for row in star]
@@ -119,7 +131,7 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     must extend the base operation along the embedding.  Either failure
     raises InternalError.
     """
-    star = pseudocomplement_table(poset)
+    star = _star_table(poset)
     closed, index, full = lattice.closed, lattice.index, poset.full
     uppers = [tuple(bits(poset.upper_cone(mask))) for mask in closed]
     rows = []
@@ -173,7 +185,7 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     join, meet, ids = lattice.view.join, lattice.view.meet, range(lattice.n)
     if kind == "relpseudo":
         odot = meet
-        arrow = star if star is not None else pseudocomplement_table(lattice)
+        arrow = star if star is not None else _star_table(lattice)
     else:
         inv = lattice.require_involution()
         if kind == "boolean":
@@ -190,11 +202,9 @@ def _cover_walk(order: FinitePoset) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Each element that has upper covers, with them, the elements with
     the fewest elements above them first, so that every cover comes
     before the elements it covers; kept on the order."""
-    covers = [[] for _ in range(order.n)]
-    for i, j in order.cover_pairs():
-        covers[i].append(j)
+    covers = order.upper_covers
     walk = sorted(range(order.n), key=lambda x: order.up[x].bit_count())
-    return tuple((x, tuple(covers[x])) for x in walk if covers[x])
+    return tuple((x, tuple(bits(covers[x]))) for x in walk if covers[x])
 
 
 def _arrow_rows(order: FinitePoset, column) -> list[int]:

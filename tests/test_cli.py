@@ -20,7 +20,7 @@ from posetkit import (
 from posetkit import poset as poset_module
 from posetkit import residuation
 from posetkit.cli import _build_parser, cli_main
-from posetkit.corpus import boolean_algebra, load
+from posetkit.corpus import boolean_algebra, load, member_names
 
 
 def run(capsys, *argv):
@@ -251,21 +251,23 @@ def test_cone_distributivity_is_computed_once_per_form(capsys, monkeypatch):
     assert code == 0
     assert "check: distributive fail" in out and "check: boolean fail" in out
     # fig2 is no lattice, so the pair-table walks decide it; boolean reads
-    # the report kept on the poset
-    assert forms == [False, True]
+    # the report kept on the poset; its completion fails Birkhoff's
+    # criterion, and the same walks name the witness of
+    # completion-distributive
+    assert forms == [False, True, False, True]
 
 
-def assert_broken_invariant_exits_4(capsys, breakage, member, message):
+def assert_broken_invariant_exits_4(capsys, breakage, member, message, prop="distributive"):
     """The library raises InternalError, cli_main exits 4 with the
     message, and so does a ``python -O`` run of the same breakage."""
-    code, out, err = run(capsys, "check", member, "--property", "distributive")
+    code, out, err = run(capsys, "check", member, "--property", prop)
     assert (code, out) == (4, "")
     assert err == f"posetkit: internal error: {message}\n"
     src = str(Path(posetkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     script = breakage + (
         "from posetkit.cli import cli_main\n"
-        f"raise SystemExit(cli_main(['check', '{member}', '--property', 'distributive']))\n")
+        f"raise SystemExit(cli_main(['check', '{member}', '--property', '{prop}']))\n")
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (4, "")
@@ -308,6 +310,34 @@ def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
         checks.is_distributive_poset(load("fig2"))
     assert_broken_invariant_exits_4(capsys, _BREAK_DISTRIBUTIVITY, "fig2",
                                     "the two distributivity identities must agree")
+
+
+# Makes semimodularity fail, so the walk looks for a witness on ba16,
+# which is modular.
+_BREAK_SEMIMODULARITY = """
+from posetkit import checks
+checks._semimodular = lambda lattice: False
+"""
+
+
+def test_semimodularity_without_a_witness_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "_semimodular", lambda lattice: False)
+    with pytest.raises(InternalError, match="semimodularity and the modular law must agree"):
+        checks.is_modular_lattice(load("ba16"))
+    assert_broken_invariant_exits_4(capsys, _BREAK_SEMIMODULARITY, "ba16",
+                                    "semimodularity and the modular law must agree",
+                                    prop="modular")
+
+
+def test_full_checks_of_the_corpus_build_no_view(capsys, monkeypatch):
+    built = []
+    real = poset_module.FinitePoset.view
+    monkeypatch.setattr(poset_module.FinitePoset, "view",
+                        property(lambda self: built.append(self) or real.fget(self)))
+    for name in member_names():
+        code, out, _ = run(capsys, "check", name)
+        assert code == 0 and "check: completion-modular" in out, name
+    assert built == []
 
 
 def test_criterion_failure_without_a_witness_is_an_internal_error(capsys, monkeypatch):

@@ -58,6 +58,16 @@ finite lattice is complete, so on a lattice it now holds outright; the
 walk is the oracle on every lattice of the generator families and the
 population.
 
+Cone distributivity used to build its whole pair table and walk every
+triple, a lattice's witness came from a walk over the join and meet
+tables of its ``.view``, and modularity walked every y against each
+x < z over the same tables.  Modularity is now decided by
+semimodularity on the cover rows, and the witness walks skip the
+triples where the law holds outright; the three full walks are oracles
+here and must give the same witness or None, semimodularity must agree
+with the modular walk, and a completion's covers must be the minimal
+elements of its up rows.
+
 The distributive and boolean reports of 2^6 by the chain walks take
 several seconds, and the closure walk about four, so those comparisons
 run with the opt-in ``exhaustive`` tier.
@@ -636,10 +646,61 @@ def test_exchange_reports_match_the_loops():
 # -- the lattice laws against the table walks ----------------------------------
 
 
+def table_distributive_violation(poset, dual):
+    """The cone identities over all n³ triples, y < x only left out,
+    with the pair table built in full and every cone worked out."""
+    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
+                     else (poset.upper_cone, poset.lower_cone, poset.up))
+    n = poset.n
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for z in range(a, n):
+            table[a][z] = table[z][a] = up(below[a] & below[z])
+    lower = {}
+    for x in range(n):
+        for y in range(x, n):
+            closed = lo(up((1 << x) | (1 << y)))
+            for z, mask in enumerate(map(int.__and__, table[x], table[y])):
+                rhs = lower.get(mask)
+                if rhs is None:
+                    rhs = lower[mask] = lo(mask)
+                if closed & below[z] != rhs:
+                    return (x, y, z)
+    return None
+
+
+def view_distributive_violation(view, dual):
+    """The lattice forms of the cone identities, (x v y) ^ z against
+    (x ^ z) v (y ^ z) and dually, over every triple of the view's tables."""
+    join, meet = (view.join, view.meet) if not dual else (view.meet, view.join)
+    for x in range(view.size):
+        for y in range(view.size):
+            lhs = meet[join[x][y]]
+            for z in range(view.size):
+                if lhs[z] != join[meet[x][z]][meet[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def view_modularity_violation(lattice):
+    """First x <= z, x != z, and y with x v (y ^ z) != (x v y) ^ z over
+    the view's tables, every y visited."""
+    view, names = lattice.view, lattice.names
+    join, meet, size = view.join, view.meet, view.size
+    for x in range(size):
+        for z in range(size):
+            if x == z or meet[x][z] != x:
+                continue
+            for y in range(size):
+                if join[x][meet[y][z]] != meet[join[x][y]][z]:
+                    return {"x": names[x], "y": names[y], "z": names[z]}
+    return None
+
+
 def walked_distributive_poset(poset):
-    """Cone distributivity by the two pair-table walks, lattice or not."""
-    return checks._distributive_report(checks._distributive_violation(poset, dual=False),
-                                       checks._distributive_violation(poset, dual=True),
+    """Cone distributivity by the two full pair-table walks, lattice or not."""
+    return checks._distributive_report(table_distributive_violation(poset, dual=False),
+                                       table_distributive_violation(poset, dual=True),
                                        poset.names.__getitem__)
 
 
@@ -648,8 +709,8 @@ def walked_distributive_lattice(lattice):
     join and meet tables of the view, a completion's through ``validated``."""
     poset = validated(lattice) if isinstance(lattice, DMLattice) else lattice
     view = poset.view
-    return checks._distributive_report(checks._lattice_distributive_violation(view, dual=False),
-                                       checks._lattice_distributive_violation(view, dual=True),
+    return checks._distributive_report(view_distributive_violation(view, dual=False),
+                                       view_distributive_violation(view, dual=True),
                                        poset.names.__getitem__)
 
 
@@ -1055,3 +1116,98 @@ def test_completion_rows_pass_full_validation_on_large_crowns(k):
     lattice = complete(crown(k))
     assert len(lattice) == 1 << k
     assert_rows_pass_full_validation(lattice)
+
+
+# -- the skipping walks and semimodularity against the full walks --------------
+
+
+def lattices_of(poset):
+    """The poset, and its completion when it has one within the cap."""
+    lattice = outcome(complete, poset)
+    return [poset, lattice] if isinstance(lattice, DMLattice) else [poset]
+
+
+def assert_walks_match_the_full_walks(target, verdicts):
+    """The distributivity walk gives the full pair-table walk's triple or
+    None, each form; on a lattice, also the view walk's, and the
+    modularity walk the view walk's witness or None, which
+    semimodularity must match.  A completion is compared with its
+    ``validated`` copy, whose covers are the minimal elements of its up
+    rows.  ``verdicts`` counts the passing and failing walks."""
+    flat = validated(target) if isinstance(target, DMLattice) else target
+    is_lattice = isinstance(target, DMLattice) or lattice_violation(target) is None
+    for dual in (False, True):
+        found = checks._distributive_violation(target, dual)
+        assert found == table_distributive_violation(flat, dual), (target.names, dual)
+        if is_lattice:
+            assert found == view_distributive_violation(flat.view, dual), (target.names, dual)
+        verdicts["distributive", found is None] += 1
+    if is_lattice:
+        bad = view_modularity_violation(flat)
+        assert checks.find_modularity_violation(target) == bad, target.names
+        assert checks._semimodular(target) == (bad is None), target.names
+        verdicts["modular", bad is None] += 1
+    if isinstance(target, DMLattice):
+        assert target.upper_covers == poset_module._upper_cover_rows(flat)
+        assert target.lower_covers == poset_module._upper_cover_rows(
+            FinitePoset(flat.names, flat.down))
+
+
+def walk_verdicts():
+    return {(walk, holds): 0 for walk in ("distributive", "modular") for holds in (True, False)}
+
+
+# the full walks take n³ steps: 2^7 and the completions of crowns S_7 and
+# S_8, of 128 and 256 elements, take about 20 s between them
+FULL_WALK_SIZE = 64
+
+
+def test_skipping_walks_match_the_full_walks(prefixed):
+    verdicts = walk_verdicts()
+    for poset in generator_families(prefixed):
+        for target in lattices_of(poset):
+            if target.n <= FULL_WALK_SIZE:
+                assert_walks_match_the_full_walks(target, verdicts)
+    # each walk passes and fails often, so one that always did either would be seen
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_skipping_walks_match_the_full_walks_on_the_population(population):
+    verdicts = walk_verdicts()
+    for row in population:
+        for target in lattices_of(row["poset"]):
+            assert_walks_match_the_full_walks(target, verdicts)
+    assert all(verdicts.values()), verdicts
+
+
+@pytest.mark.exhaustive
+def test_skipping_walks_match_the_full_walks_on_large_lattices(prefixed):
+    verdicts = walk_verdicts()
+    for poset in generator_families(prefixed):
+        for target in lattices_of(poset):
+            if target.n > FULL_WALK_SIZE:
+                assert_walks_match_the_full_walks(target, verdicts)
+    # 2^7 and the completions of 2^7, S_7 and S_8 are all distributive
+    assert verdicts == {("distributive", True): 8, ("distributive", False): 0,
+                        ("modular", True): 4, ("modular", False): 0}
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_completion_covers_are_the_minimal_elements_of_the_up_rows_on_crowns(k):
+    lattice = complete(crown(k))
+    assert lattice.upper_covers == poset_module._upper_cover_rows(validated(lattice))
+    # the completion is 2^k, whose Hasse diagram is the k-cube
+    assert len(lattice.cover_pairs()) == k << (k - 1)
+
+
+@pytest.mark.parametrize("k", (8, 9, 10))
+def test_crown_completions_are_modular_on_covers(k):
+    report = PROPERTIES["completion-modular"](CheckContext(crown(k)))
+    assert report == CheckReport("completion-modular", True)
+
+
+@pytest.mark.exhaustive
+def test_crown12_completion_is_modular_on_covers():
+    ctx = CheckContext(crown(12))
+    assert PROPERTIES["completion-modular"](ctx).holds
+    assert ctx.dm._view is None

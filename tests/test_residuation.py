@@ -2,7 +2,7 @@
 
 import pytest
 
-from posetkit import corpus
+from posetkit import corpus, residuation
 from posetkit.completion import complete
 from posetkit.errors import NoRelativePseudocomplement
 from posetkit.residuation import (
@@ -106,6 +106,41 @@ def test_star_on_dm_extends_the_base_operation():
             for y in range(poset.n):
                 assert (star[lattice.embed[x]][lattice.embed[y]]
                         == lattice.embed[table[x][y]])
+
+
+def test_the_base_pseudocomplements_are_worked_out_once(monkeypatch):
+    """Two lifts on one poset and the operator pair read one kept table;
+    the public table is a fresh copy each time and still refuses a
+    poset without relative pseudocomplements."""
+    calls = []
+    real = residuation.relative_pseudocomplement
+
+    def counting(poset, x, y):
+        calls.append((x, y))
+        return real(poset, x, y)
+
+    for name in RELPSEUDO_MEMBERS:
+        poset = corpus.load(name)
+        expected = [[real(poset, x, y) for y in range(poset.n)] for x in range(poset.n)]
+        lattice = complete(poset)
+        monkeypatch.setattr(residuation, "relative_pseudocomplement", counting)
+        first = star_on_dm(poset, lattice)
+        assert star_on_dm(poset, lattice) == first
+        table = pseudocomplement_table(poset)
+        assert table == expected and table is not pseudocomplement_table(poset)
+        table[0][0] = None
+        assert pseudocomplement_table(poset) == expected
+        assert operator_pair(poset, "relpseudo").res == tuple(
+            tuple(poset.down[s] for s in row) for row in expected)
+        assert len(calls) == poset.n ** 2, name
+        monkeypatch.undo()
+        calls.clear()
+    diamond = corpus.load("diamond")
+    monkeypatch.setattr(residuation, "relative_pseudocomplement", counting)
+    for _ in range(2):
+        with pytest.raises(NoRelativePseudocomplement, match="does not exist"):
+            pseudocomplement_table(diamond)
+    assert len(calls) == diamond.n ** 2
 
 
 def test_transformed_operations_boolean():
