@@ -211,14 +211,20 @@ def is_boolean_poset(poset: FinitePoset) -> CheckReport:
 
 
 def is_orthomodular_poset(poset: FinitePoset) -> CheckReport:
-    """Orthogonal pairs have joins and ((x^y) v y')^ y = x^y holds.  The
-    cones of a pair are ↓a ∩ ↓b and ↑a ∩ ↑b, so each meet and join is one
-    principal lookup.
+    """Orthogonal pairs have joins and ((x^y) v y')^ y = x^y holds; kept,
+    so the check ``greechie_to_omp`` makes on a pasted poset is the
+    report its ``orthomodular-poset`` property reads.  The cones of a
+    pair are ↓a ∩ ↓b and ↑a ∩ ↑b, so each meet and join is one principal
+    lookup.
 
     The identity is evaluated only where its subterms exist; a missing
     subterm counts as a failure exactly on orthogonal pairs (where the
     axioms promise existence) and skips the pair otherwise.
     """
+    return poset.kept(_orthomodular_poset_report)
+
+
+def _orthomodular_poset_report(poset: FinitePoset) -> CheckReport:
     inv = poset.require_complementation("orthomodularity")
     up, down, by_up, by_down = poset.up, poset.down, poset.by_up, poset.by_down
 

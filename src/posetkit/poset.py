@@ -235,18 +235,6 @@ class FinitePoset:
             self._by_down = {row: k for k, row in enumerate(self.down)}
         return self._by_down
 
-    def maximal_of(self, subset: ElementSet) -> ElementSet:
-        """The elements of a subset with nothing of it above them."""
-        up = self.up
-        out = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if subset & up[low.bit_length() - 1] == low:
-                out |= low
-        return out
-
     @property
     def perp(self) -> tuple[ElementSet, ...]:
         """Row a marks the b != a with a <= b' and b <= a', built on first
@@ -316,10 +304,28 @@ class FinitePoset:
         return f"FinitePoset({self.n} elements)"
 
 
-def transposed(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """The rows of a square bit matrix turned into its columns: row j of
-    the result marks the i whose row marks j."""
-    out = [0] * len(rows)
+def transposed(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The columns of a bit matrix of ``len(rows)`` rows, each under
+    ``1 << width``: row j of the result marks the i whose row marks j.
+
+    Both routes are exact.  A matrix with more set bits than about one
+    cell in 32 is cut into its columns from one string of its rows'
+    binary digits; any other, width 0 included, is walked by the low
+    bit, one step per set bit."""
+    if sum(map(int.bit_count, rows)) > 3 * width + len(rows) * width // 32 + 16:
+        return _transposed_by_digits(rows, width)
+    return _transposed_by_bits(rows, width)
+
+
+def _transposed_by_digits(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    # the last row's digits come first, so every width-th digit from
+    # position width-1-j reads column j from its highest row down
+    digits = "".join([format(row, f"0{width}b") for row in reversed(rows)])
+    return tuple(int(digits[width - 1 - j::width] or "0", 2) for j in range(width))
+
+
+def _transposed_by_bits(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    out = [0] * width
     for i, row in enumerate(rows):
         bit = 1 << i
         while row:
@@ -345,7 +351,7 @@ def _upper_cover_rows(poset: FinitePoset) -> tuple[ElementSet, ...]:
 
 
 def _lower_cover_rows(poset: FinitePoset) -> tuple[ElementSet, ...]:
-    return transposed(poset.upper_covers)
+    return transposed(poset.upper_covers, poset.n)
 
 
 def _join_irreducibles(poset: FinitePoset) -> int:

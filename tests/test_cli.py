@@ -220,6 +220,26 @@ def test_complementation_is_computed_once_per_check(capsys, monkeypatch):
     assert poset_module.is_antitone_involution(fig3) == real["_antitone_report"](fig3)
 
 
+@pytest.mark.parametrize("argv, said", (
+    (("check", "fig3"), "check: orthomodular-poset pass"),
+    (("corpus", "--member", "fig3"), "corpus: fig3 ok"),
+))
+def test_orthomodular_poset_is_walked_once_per_command(capsys, monkeypatch, argv, said):
+    walked = []
+    real = checks._orthomodular_poset_report
+
+    def counting(poset):
+        walked.append(poset)
+        return real(poset)
+
+    monkeypatch.setattr(checks, "_orthomodular_poset_report", counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and said in out
+    # pasting fig3 checks its orthomodularity, and the property reads the
+    # report kept on the pasted poset
+    assert len(walked) == 1
+
+
 def test_distributivity_criterion_is_decided_once_per_form(capsys, monkeypatch):
     forms = []
     real = checks._irreducible_not_prime

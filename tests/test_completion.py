@@ -72,7 +72,7 @@ FAMILIES = {
     **{f"chain{k}": corpus.chain(k) for k in (2, 3, 5, 9, 17)},
     **{f"ba{1 << k}": corpus.boolean_algebra(k) for k in range(6)},
     **{f"crown{k}": crown(k) for k in range(3, 7)},
-    **{f"mo{n}": corpus.mo(n) for n in (1, 2, 5, 9)},
+    **{f"mo{n}": corpus.mo(n) for n in (1, 2, 5, 8, 9)},
 }
 
 
@@ -216,7 +216,8 @@ def closed_sets_or_cap(enumerate_closed, poset, cap):
         return str(exc)
 
 
-@pytest.mark.parametrize("label", ["fig3", "diamond", "ba1", "ba16", "chain2", "crown4"])
+@pytest.mark.parametrize("label", ["fig3", "diamond", "ba1", "ba16", "chain2", "crown4",
+                                   "crown6", "mo8"])
 def test_cap_matches_next_closure(label):
     poset = FAMILIES[label] if label in FAMILIES else corpus.load(label)
     count = len(next_closure(poset))

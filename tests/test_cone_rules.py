@@ -50,8 +50,20 @@ A completion used to find the generator, name, up row and involution
 image of every closed set through ``maximal_of``, its holders and a
 lower cone of inverted generators.  A principal ↓x is now read through
 x; on every lattice of the generator families and the population the
-completion must be the base renumbered, and ``maximal_of`` must run for
-the other closed sets only.
+completion must be the base renumbered, and the generators of the other
+closed sets must be the scan's.
+
+A completion used to grow its closed sets by intersecting the family
+with every principal down-set in id order, and then walked each closed
+set once for its generators, once for the holder transpose, once for
+its name and up row and once for its involution image.  It now takes in
+only the rows not already in the family, largest first, and walks each
+closed set once; the bit matrix transpose cuts a dense matrix from one
+string of digits.  The old routes are oracles on the generator families,
+the population and the crowns S_3..S_10, and on S_12 in the
+``exhaustive`` tier: closed sets, embedding, generators, names, up rows,
+involution and the cap's error must come out the same, and both
+transpose routes must give the walked transpose.
 
 ``orthocomplete`` used to walk every orthogonal subset for a join.  A
 finite lattice is complete, so on a lattice it now holds outright; the
@@ -73,6 +85,7 @@ several seconds, and the closure walk about four, so those comparisons
 run with the opt-in ``exhaustive`` tier.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -83,13 +96,20 @@ from posetkit import checks, corpus
 from posetkit import poset as poset_module
 from posetkit.build import generate_small, greechie_to_omp, horizontal_sum
 from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext
-from posetkit.completion import DMLattice, check_join_meet_density, complete
+from posetkit.completion import (
+    DEFAULT_MAX_CLOSED_SETS,
+    DMLattice,
+    check_join_meet_density,
+    complete,
+)
 from posetkit.errors import (
     InternalError,
     MissingBounds,
     MissingInvolution,
     NoRelativePseudocomplement,
     NotComplemented,
+    PosetError,
+    SizeLimitExceeded,
 )
 from posetkit.formats import parse_greechie
 from posetkit.poset import (
@@ -889,6 +909,81 @@ def element_images(lattice):
                  for mask in lattice.closed)
 
 
+def closure_over_all_rows(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
+    """The closed sets in lectic order, grown from {P} by intersecting
+    every member with every principal down-set in id order, the cap
+    checked at each new set."""
+    cap = max(max_closed_sets, 1)
+    family = {poset.full}
+    for row in poset.down:
+        for mask in list(family):
+            mask &= row
+            if mask not in family:
+                family.add(mask)
+                if len(family) > cap:
+                    raise SizeLimitExceeded(
+                        f"more than {max_closed_sets} closed sets; raise max_closed_sets")
+    width = f"0{poset.n}b"
+    return sorted(family, key=lambda mask: format(mask, width)[::-1])
+
+
+def walked_transpose(rows, width):
+    """Row j marks the i whose row marks j, every cell read."""
+    return tuple(sum(1 << i for i, row in enumerate(rows) if row >> j & 1)
+                 for j in range(width))
+
+
+def walked_completion(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
+    """(closed, embed, generators, names, up rows, involution) of the
+    completion by the replaced routes: the closure over all rows, then
+    the scan ``maximal_of`` made for the generators of each closed set
+    that is not principal, the holder walk for its name and up row, and
+    L(inv max X) for its involution image; or the error's type and
+    text."""
+    try:
+        closed = closure_over_all_rows(poset, max_closed_sets)
+    except SizeLimitExceeded as exc:
+        return type(exc), str(exc)
+    index = {mask: k for k, mask in enumerate(closed)}
+    embed = tuple(index[row] for row in poset.down)
+    point = {k: x for x, k in enumerate(embed)}
+    generators = tuple(1 << point[k] if k in point else scan_maximal(poset, mask)
+                       for k, mask in enumerate(closed))
+    holders = [0] * poset.n
+    for k, mask in enumerate(closed):
+        for e in bits(mask):
+            holders[e] |= 1 << k
+    names, rows = [], []
+    for k, gens in enumerate(generators):
+        if k in point:
+            names.append(poset.names[point[k]])
+            rows.append(holders[point[k]])
+            continue
+        row = (1 << len(closed)) - 1
+        for e in bits(gens):
+            row &= holders[e]
+        names.append("∨".join(poset.names_of(gens)) or "{}")
+        rows.append(row)
+    inv = None
+    if poset.inv is not None and is_antitone_involution(poset).holds:
+        inv = tuple(embed[poset.inv[point[k]]] if k in point
+                    else index[poset.lower_cone(poset.inv_image(gens))]
+                    for k, gens in enumerate(generators))
+    if len(set(names)) != len(names):
+        return PosetError, "duplicate element names"
+    return tuple(closed), embed, generators, tuple(names), tuple(rows), inv
+
+
+def completion_parts(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
+    """What :func:`walked_completion` gives, read off ``complete()``."""
+    try:
+        lattice = complete(fresh(poset), max_closed_sets)
+    except (SizeLimitExceeded, PosetError) as exc:
+        return type(exc), str(exc)
+    return (lattice.closed, lattice.embed, lattice.generators, lattice.names,
+            lattice.up, lattice.inv)
+
+
 def scanned_names(lattice):
     names = lattice.base.names
     return tuple("∨".join(names[i] for i in bits(scan_maximal(lattice.base, mask))) or "{}"
@@ -947,9 +1042,8 @@ def assert_generators_match(poset, names=ORTHOGONALITY_REPORTS):
     every element; the orthogonality table and the cut search give the
     same maximal orthogonal subsets of each closed set, in the same order,
     and the same reports.  Returns the reports."""
-    for subset in probe_subsets(poset):
-        assert poset.maximal_of(subset) == scan_maximal(poset, subset), subset
     lattice = outcome(complete, poset)
+    assert completion_parts(poset) == walked_completion(poset), poset.names
     if isinstance(lattice, DMLattice):
         rows = element_up_rows(lattice)
         assert lattice.generators == tuple(scan_maximal(poset, mask)
@@ -1039,25 +1133,21 @@ def test_generators_and_orthogonality_table_match_on_the_population(population):
 
 def assert_principal_reading(poset):
     """A completion reads each principal closed set through its point:
-    ``maximal_of`` runs once for each other closed set, in order, and on a
-    lattice, where every closed set is principal, the names, up rows and
-    involution are the base's renumbered by closed[embed[x]] = down[x]."""
+    the generator of closed[embed[x]] is x alone, and every other closed
+    set's generators are the scan's.  On a lattice, where every closed
+    set is principal, the names, up rows and involution are the base's
+    renumbered by closed[embed[x]] = down[x]."""
     lattice = outcome(complete, poset)
     if not isinstance(lattice, DMLattice):
         return
-    asked = []
-    real = FinitePoset.maximal_of
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FinitePoset, "maximal_of",
-                      lambda self, subset: asked.append(subset) or real(self, subset))
-        again = complete(poset)
-    principal = set(poset.down)
-    assert asked == [mask for mask in again.closed if mask not in principal]
-    assert (again.names, again.up, again.inv) == (lattice.names, lattice.up, lattice.inv)
+    embed = lattice.embed
+    point = {k: x for x, k in enumerate(embed)}
+    assert lattice.generators == tuple(
+        1 << point[k] if k in point else scan_maximal(poset, mask)
+        for k, mask in enumerate(lattice.closed))
     if lattice_violation(poset) is not None:
         return
-    embed = lattice.embed
-    assert sorted(embed) == list(range(len(lattice))) and not asked
+    assert sorted(embed) == list(range(len(lattice)))
     for x in range(poset.n):
         k = embed[x]
         assert lattice.names[k] == poset.names[x]
@@ -1072,6 +1162,84 @@ def test_principal_closed_sets_are_read_through_the_embedding(prefixed, populati
         assert_principal_reading(poset)
         lattices += lattice_violation(poset) is None
     assert lattices > 500, lattices
+
+
+def assert_completion_matches_the_replaced_routes(poset, count):
+    """The same completion as the replaced routes, of ``count`` closed
+    sets, under a cap of ``count`` too; and the same error under a cap
+    of ``count - 1``."""
+    parts = completion_parts(poset)
+    assert parts == walked_completion(poset) and len(parts[0]) == count
+    assert completion_parts(poset, count) == parts
+    refused = (SizeLimitExceeded, f"more than {count - 1} closed sets; raise max_closed_sets")
+    assert completion_parts(poset, count - 1) == walked_completion(poset, count - 1) == refused
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_completion_matches_the_replaced_routes_on_crowns(k):
+    assert_completion_matches_the_replaced_routes(crown(k), 1 << k)
+
+
+@pytest.mark.exhaustive
+def test_completion_matches_the_replaced_routes_on_crown12():
+    assert_completion_matches_the_replaced_routes(crown(12), 1 << 12)
+
+
+def transpose_matrices():
+    """Bit matrices of 0, 1, 2, 5 and 40 rows by 0, 1, 2, 7 and 33
+    columns, empty, full and seeded at three densities."""
+    rng = random.Random(20)
+    for height in (0, 1, 2, 5, 40):
+        for width in (0, 1, 2, 7, 33):
+            full = (1 << width) - 1
+            yield (0,) * height, width
+            yield (full,) * height, width
+            for density in (0.03, 0.3, 0.8):
+                yield tuple(sum(1 << j for j in range(width) if rng.random() < density)
+                            for _ in range(height)), width
+
+
+@contextlib.contextmanager
+def transpose_routes():
+    """Record, in order, the route each call of ``transposed`` takes;
+    yields that list and the unpatched routes by name."""
+    taken = []
+    real = {name: getattr(poset_module, f"_transposed_by_{name}") for name in ("digits", "bits")}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in real:
+            patch.setattr(poset_module, f"_transposed_by_{name}",
+                          lambda rows, width, name=name: taken.append(name) or real[name](rows, width))
+        yield taken, real
+
+
+def test_both_transpose_routes_give_the_walked_transpose():
+    with transpose_routes() as (taken, real):
+        for rows, width in transpose_matrices():
+            expected = walked_transpose(rows, width)
+            assert poset_module.transposed(rows, width) == expected, (rows, width)
+            assert real["digits"](rows, width) == expected, (rows, width)
+            assert real["bits"](rows, width) == expected, (rows, width)
+    # the choice sends many of these matrices each way
+    assert min(taken.count("digits"), taken.count("bits")) >= 10, taken
+
+
+def test_holder_transpose_takes_each_route():
+    """A chain's closed sets are dense and cut from digits; those of MO_n
+    are sparse and walked."""
+    with transpose_routes() as (taken, _):
+        complete(corpus.chain(17))
+        complete(corpus.mo(16))
+    assert taken == ["digits", "bits"]
+
+
+def test_a_missing_involution_image_is_an_internal_error():
+    """The closed sets of S_4 without {0, a2, a3}, the image of the
+    closed set {0, a0, a1}: the lift finds that image not closed."""
+    poset = crown(4)
+    missing = poset.mask(["0", "a2", "a3"])
+    closed = [mask for mask in complete(poset).closed if mask != missing]
+    with pytest.raises(InternalError, match="^involution image is not closed$"):
+        DMLattice(poset, closed)
 
 
 def walked_orthocomplete(ctx):
