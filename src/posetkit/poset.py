@@ -308,11 +308,14 @@ def transposed(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """The columns of a bit matrix of ``len(rows)`` rows, each under
     ``1 << width``: row j of the result marks the i whose row marks j.
 
-    Both routes are exact.  A matrix with more set bits than about one
-    cell in 32 is cut into its columns from one string of its rows'
-    binary digits; any other, width 0 included, is walked by the low
-    bit, one step per set bit."""
-    if sum(map(int.bit_count, rows)) > 3 * width + len(rows) * width // 32 + 16:
+    Both routes are exact.  The walk by the low bit costs one step per
+    set bit.  Cutting the columns from one string of the rows' binary
+    digits costs one ``format`` per row, one slice and ``int`` per column
+    and a little per cell: about 3 steps of the walk per row and per
+    column and one per 40 cells, as fitted to both routes' times on every
+    matrix the benchmark workloads transpose.  The cheaper one is taken;
+    width 0 has no set bits and is walked."""
+    if sum(map(int.bit_count, rows)) > 3 * (len(rows) + width) + len(rows) * width // 40:
         return _transposed_by_digits(rows, width)
     return _transposed_by_bits(rows, width)
 

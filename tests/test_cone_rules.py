@@ -1186,11 +1186,11 @@ def test_completion_matches_the_replaced_routes_on_crown12():
 
 
 def transpose_matrices():
-    """Bit matrices of 0, 1, 2, 5 and 40 rows by 0, 1, 2, 7 and 33
-    columns, empty, full and seeded at three densities."""
+    """Bit matrices of 0, 1, 2, 5, 40 and 128 rows by 0, 1, 2, 7, 33 and
+    128 columns, empty, full and seeded at three densities."""
     rng = random.Random(20)
-    for height in (0, 1, 2, 5, 40):
-        for width in (0, 1, 2, 7, 33):
+    for height in (0, 1, 2, 5, 40, 128):
+        for width in (0, 1, 2, 7, 33, 128):
             full = (1 << width) - 1
             yield (0,) * height, width
             yield (full,) * height, width
@@ -1221,6 +1221,23 @@ def test_both_transpose_routes_give_the_walked_transpose():
             assert real["bits"](rows, width) == expected, (rows, width)
     # the choice sends many of these matrices each way
     assert min(taken.count("digits"), taken.count("bits")) >= 10, taken
+
+
+def test_transpose_cuts_digits_only_past_its_cost_line():
+    """The walk takes a matrix of 3·(rows + width) + rows·width/40 set
+    bits, and the digits take one more."""
+    for height, width in ((1, 1), (16, 16), (256, 16), (16, 256), (128, 128)):
+        line = 3 * (height + width) + height * width // 40
+        for extra, route in ((0, "bits"), (1, "digits")):
+            cells = [(i, j) for i in range(height) for j in range(width)][:line + extra]
+            rows = [0] * height
+            for i, j in cells:
+                rows[i] |= 1 << j
+            if len(cells) < line + extra:
+                continue  # too few cells to reach the line
+            with transpose_routes() as (taken, _):
+                poset_module.transposed(rows, width)
+            assert taken == [route], (height, width, extra)
 
 
 def test_holder_transpose_takes_each_route():
