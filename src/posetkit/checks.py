@@ -252,11 +252,13 @@ def _orthomodular_poset_report(poset: FinitePoset) -> CheckReport:
     return CheckReport("orthomodular-poset", True)
 
 
-def _exchange_violation(sets: Sequence[int], ups: Sequence[int], inv: Sequence[int],
-                        zero: int) -> tuple[int, int] | None:
-    """First x < y in the order, ids ascending, with x' ^ y = 0, or None.
-    Element k is the down-set sets[k], and ups[k] marks the ids above k."""
-    for x, row in enumerate(ups):
+def _exchange_violation(lattice: FinitePoset) -> tuple[int, int] | None:
+    """First x < y in the order, ids ascending, with x' ^ y = 0, or None,
+    read through ``meet_sets``.  Its readers keep it on the lattice, so
+    strong D-continuity and completion orthomodularity scan once."""
+    sets, _ = lattice.meet_sets
+    inv, zero = lattice.inv, sets[lattice.bottom]
+    for x, row in enumerate(lattice.up):
         image = sets[inv[x]]
         for y in bits(row & ~(1 << x)):
             if sets[y] & image == zero:
@@ -264,22 +266,15 @@ def _exchange_violation(sets: Sequence[int], ups: Sequence[int], inv: Sequence[i
     return None
 
 
-def _completion_exchange_violation(lattice: DMLattice) -> tuple[int, int] | None:
-    """The exchange scan of a completion, kept on it: strong D-continuity
-    and completion orthomodularity read the same first pair."""
-    return _exchange_violation(lattice.closed, lattice.up, lattice.inv,
-                               lattice.closed[lattice.bottom])
-
-
 def is_orthomodular_lattice(lattice: FinitePoset) -> CheckReport:
     """Lattice orthomodularity by :func:`_orthomodular_law`.  Only a
     failure walks all pairs (x, y) in order, to name the first with
     ((x v y) ^ y') v y != x v y."""
-    frame = _orthocomplemented(lattice)
-    if _orthomodular_law(lattice, frame):
+    _orthocomplemented(lattice)
+    if _orthomodular_law(lattice):
         return CheckReport("orthomodular-lattice", True)
-    sets, index, inv, _, _ = frame
-    primes = [sets[k] for k in inv]
+    sets, index = lattice.meet_sets
+    primes = [sets[k] for k in lattice.inv]
     for x, prime_x in enumerate(primes):
         for y, prime_y in enumerate(primes):
             a = prime_x & prime_y
@@ -290,47 +285,45 @@ def is_orthomodular_lattice(lattice: FinitePoset) -> CheckReport:
     raise InternalError("a failed orthomodular identity must have a witness pair")
 
 
-def _orthocomplemented(lattice: FinitePoset) -> tuple:
-    """The lattice as (sets, index, inv, bottom, top) once its involution
-    is known to be an orthocomplementation: element k is the down-set
-    sets[k], found again by index[...].  A completion's lifted involution
-    is antitone by construction; a lattice poset's is checked (kept).
-    Then each k must meet k' in 0 and join it in 1, O(m) lookups.
+def _orthocomplemented(lattice: FinitePoset) -> None:
+    """Return only once the lattice's involution is an
+    orthocomplementation.  A completion's lifted involution is antitone
+    by construction; a lattice poset's is checked (kept).  Then each k
+    must meet k' in 0 and join it in 1, O(m) lookups in ``meet_sets``.
     Raises MissingInvolution, NotComplemented, NotALattice or
     MissingBounds where that fails."""
     if isinstance(lattice, DMLattice):
         if lattice.inv is None:
             raise MissingInvolution("completion carries no involution")
-        inv, bottom, top = lattice.inv, lattice.bottom, lattice.top
-        sets, index = lattice.closed, lattice.index
     else:
         if lattice.inv is not None:
             anti = is_antitone_involution(lattice)
             if not anti.holds:
                 raise NotComplemented("involution is not antitone: " + anti.details)
         lattice.require_lattice()
-        inv = lattice.require_involution()
-        bottom, top = lattice.require_bounds()
-        sets, index = lattice.down, lattice.by_down
+        lattice.require_involution()
+        lattice.require_bounds()
+    sets, index = lattice.meet_sets
+    inv, bottom, top = lattice.inv, lattice.bottom, lattice.top
     for k, row in enumerate(sets):
         meet = index[row & sets[inv[k]]]
         if meet != bottom or inv[meet] != top:
             raise NotComplemented(f"{lattice.names[k]} meets or joins its image improperly")
-    return sets, index, inv, bottom, top
 
 
-def _orthomodular_law(lattice: FinitePoset, frame: tuple) -> bool:
-    """Whether an ortholattice, given as :func:`_orthocomplemented` returns
-    it, satisfies x v y = ((x v y) ^ y') v y, with no witness; cross
-    checked against the x <= y, x' ^ y = 0 implies x = y condition.
+def _orthomodular_law(lattice: FinitePoset) -> bool:
+    """Whether a lattice that passed :func:`_orthocomplemented` satisfies
+    x v y = ((x v y) ^ y') v y, with no witness; cross checked against
+    the x <= y, x' ^ y = 0 implies x = y condition.
 
-    A meet is index[sets[a] & sets[b]] and a join, by De Morgan through
-    the involution, inv[index[sets[a'] & sets[b']]]: no table is built.
-    Through the involution the identity reads (a v y) ^ y' = a for
-    a = x' ^ y', and every a <= y' is such a meet (take x = a'), so it
-    is decided on the comparable pairs a <= y' alone.
+    A meet is index[sets[a] & sets[b]] of ``meet_sets`` and a join, by
+    De Morgan through the involution, inv[index[sets[a'] & sets[b']]]:
+    no table is built.  Through the involution the identity reads
+    (a v y) ^ y' = a for a = x' ^ y', and every a <= y' is such a meet
+    (take x = a'), so it is decided on the comparable pairs a <= y' alone.
     """
-    sets, index, inv, bottom, top = frame
+    sets, index = lattice.meet_sets
+    inv, bottom, top = lattice.inv, lattice.bottom, lattice.top
     primes = [sets[k] for k in inv]  # primes[k] is the down-set of k'
     # a v y is the image of a' ^ y', and z stands for y'; as k ^ k' = 0
     # and k v k' = 1, the law holds outright where a = z, a = 0 or z = 1
@@ -338,31 +331,22 @@ def _orthomodular_law(lattice: FinitePoset, frame: tuple) -> bool:
     law = all(primes[index[primes[a] & sets[z]]] & sets[z] == sets[a]
               for a, row in enumerate(lattice.up) if a != bottom
               for z in bits(row & ~(1 << a | skip)))
-    if isinstance(lattice, DMLattice):
-        exchange = lattice.kept(_completion_exchange_violation)
-    else:
-        exchange = _exchange_violation(sets, lattice.up, inv, sets[bottom])
-    if law != (exchange is None):
+    if law != (lattice.kept(_exchange_violation) is None):
         raise InternalError("orthomodular identity and exchange condition must agree")
     return law
 
 
 def _lattice_ops(lattice: FinitePoset) -> tuple:
     """Element-valued join and meet of a lattice, with no table: a join
-    is the principal up-set ↑a ∩ ↑b looked up in ``by_up``, a meet the
-    down-set ↓a ∩ ↓b in ``by_down``, on a completion the intersection of
-    two closed sets in its ``index``.  Raises NotALattice on a poset
-    that is not one."""
+    is the principal up-set ↑a ∩ ↑b looked up in ``by_up``, a meet
+    ``index[sets[a] & sets[b]]`` of ``meet_sets``.  Raises NotALattice
+    on a poset that is not one."""
     lattice.require_lattice()
     up, by_up = lattice.up, lattice.by_up
+    sets, index = lattice.meet_sets
 
     def join(a: int, b: int) -> int:
         return by_up[up[a] & up[b]]
-
-    if isinstance(lattice, DMLattice):
-        sets, index = lattice.closed, lattice.index
-    else:
-        sets, index = lattice.down, lattice.by_down
 
     def meet(a: int, b: int) -> int:
         return index[sets[a] & sets[b]]
@@ -495,7 +479,7 @@ def is_strongly_d_continuous(poset: FinitePoset,
         # one-line direction: valid outright in any complemented poset
         if mask & closed[inv[k]] != zero:
             raise InternalError("a complemented poset cannot fail the backward direction")
-    pair = lattice.kept(_completion_exchange_violation)
+    pair = lattice.kept(_exchange_violation)
     if pair is None:
         return CheckReport("strongly-d-continuous", True,
                            details="infimum-is-zero read as L(C,B') = {0}")

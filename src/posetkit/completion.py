@@ -109,9 +109,14 @@ class DMLattice(FinitePoset):
     @property
     def down(self) -> tuple[int, ...]:
         """Row k marks, by index, the closed sets inside closed[k]: the up
-        rows transposed, built on first use and kept.  Only the tables, the
-        witness walks and serialisation read them."""
+        rows transposed, built on first use and kept.  Only the witness
+        walks and serialisation read them; meets read :attr:`meet_sets`."""
         return self.kept(_down_rows)
+
+    @property
+    def meet_sets(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """The closed sets and ``index``: a meet reads no down rows."""
+        return self.closed, self.index
 
     @property
     def upper_covers(self) -> tuple[int, ...]:

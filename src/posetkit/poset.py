@@ -8,8 +8,9 @@ of word-wide intersections, which keeps all the checkers in this package at
 desk-scale cost without any third-party numerics.
 
 Two rules answer every cone question.  A subset has a join exactly when
-its upper cone is a principal up-set (meets dually), so ``join_of``,
-``meet_of`` and ``view`` are lookups in ``by_up`` and ``by_down``.  And
+its upper cone is a principal up-set (meets dually), so ``join_of`` and
+``meet_of`` are lookups in ``by_up`` and ``by_down``, and a lattice meet
+is ``index[sets[a] & sets[b]]`` of :attr:`FinitePoset.meet_sets`.  And
 L(U(A) ∪ {z}) = L(U(A)) ∩ ↓z with L(x,y) = ↓x ∩ ↓y, so a composite cone
 term is one :meth:`FinitePoset.closure` cut down by principal rows.
 
@@ -76,7 +77,7 @@ class FinitePoset:
     """
 
     __slots__ = ("n", "names", "up", "down", "inv", "bottom", "top", "full", "_ids",
-                 "_by_up", "_by_down", "_perp", "_view", "_kept")
+                 "_by_up", "_by_down", "_perp", "_kept")
 
     def __init__(self, names: tuple[str, ...], up: tuple[int, ...],
                  inv: tuple[int, ...] | None = None):
@@ -123,7 +124,7 @@ class FinitePoset:
         self._ids = {name: i for i, name in enumerate(names)}
         if len(self._ids) != self.n:
             raise PosetError("duplicate element names")
-        self._by_up = self._by_down = self._perp = self._view = None
+        self._by_up = self._by_down = self._perp = None
         self._kept = {}
 
     # -- element and subset helpers -------------------------------------
@@ -263,15 +264,11 @@ class FinitePoset:
         return self.by_down.get(self.lower_cone(subset))
 
     @property
-    def view(self) -> "LatticeView":
-        """Join and meet tables of principal lookups, built on first use;
-        :meth:`require_lattice` refuses a poset that is not a lattice."""
-        if self._view is None:
-            self.require_lattice()
-            by_up, by_down, up, down = self.by_up, self.by_down, self.up, self.down
-            self._view = LatticeView([[by_up[a & b] for b in up] for a in up],
-                                     [[by_down[a & b] for b in down] for a in down])
-        return self._view
+    def meet_sets(self) -> tuple[Sequence[ElementSet], dict[ElementSet, int]]:
+        """(sets, index), element k being the down-set sets[k]: on a lattice
+        the meet of a and b is ``index[sets[a] & sets[b]]``.  Here the
+        down rows and ``by_down``."""
+        return self.down, self.by_down
 
     # -- small derived data ------------------------------------------------
 
@@ -373,19 +370,6 @@ def _irreducibles(lo, up, rows: Sequence[int]) -> int:
         if lo(up(row ^ (1 << x))) != row:
             out |= 1 << x
     return out
-
-
-class LatticeView:
-    """Element-valued join and meet of a finite lattice as tables:
-    ``join[i][j]`` and ``meet[i][j]`` are element ids.  Built once per
-    lattice, by :attr:`FinitePoset.view`, a completion's included."""
-
-    __slots__ = ("size", "join", "meet")
-
-    def __init__(self, join: list[list[int]], meet: list[list[int]]):
-        self.size = len(meet)
-        self.join = join
-        self.meet = meet
 
 
 def build_poset(names: Iterable[object], relation: Iterable[tuple[object, object]],

@@ -149,7 +149,8 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
         for a in bits(mask):
             acc_row = list(map(and_, acc_row, rows[a]))
         table.append([index[acc] for acc in acc_row])
-    if _first_unadjoint_column(lattice, lattice.view.meet, table) is not None:
+    _, meet = lattice.kept(_lattice_tables)
+    if _first_unadjoint_column(lattice, meet, table) is not None:
         raise InternalError("lifted star must be residual to the meet")
     for x in range(poset.n):
         for y in range(poset.n):
@@ -182,7 +183,8 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    join, meet, ids = lattice.view.join, lattice.view.meet, range(lattice.n)
+    join, meet = lattice.kept(_lattice_tables)
+    ids = range(lattice.n)
     if kind == "relpseudo":
         odot = meet
         arrow = star if star is not None else _star_table(lattice)
@@ -196,6 +198,17 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     ops = ResiduatedOps(kind, tuple(map(tuple, odot)), tuple(map(tuple, arrow)))
     object.__setattr__(ops, "_lattice", lattice)
     return ops
+
+
+def _lattice_tables(lattice: FinitePoset) -> tuple[list[list[int]], list[list[int]]]:
+    """Join and meet of a lattice as m×m tables of element ids by the
+    rules of :func:`~posetkit.checks._lattice_ops`, kept by their readers;
+    raises NotALattice on a poset that is not one."""
+    lattice.require_lattice()
+    up, by_up = lattice.up, lattice.by_up
+    sets, index = lattice.meet_sets
+    return ([[by_up[a & b] for b in up] for a in up],
+            [[index[a & b] for b in sets] for a in sets])
 
 
 def _cover_walk(order: FinitePoset) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -255,12 +268,12 @@ def _law_holds(lattice: FinitePoset, ops: ResiduatedOps) -> bool | None:
     if ops._lattice is not lattice or ops.kind not in ("boolean", "pseudo_om"):
         return None
     try:
-        frame = _orthocomplemented(lattice)
+        _orthocomplemented(lattice)
     except NotComplemented:
         return None
     if ops.kind == "boolean":
         return _distributive_law(lattice)
-    return _orthomodular_law(lattice, frame)
+    return _orthomodular_law(lattice)
 
 
 def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
@@ -295,7 +308,16 @@ def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
     column the walk cannot witness, raises InternalError.
 
     Commutativity of odot is reported as a flag; associativity too when
-    asked for, and neither is required for the check to hold.
+    asked for, and neither is required for the check to hold.  On the
+    law route the flag is known: yes for ``boolean``, whose x.y is x ^ y,
+    and for ``pseudo_om`` yes exactly when L is distributive.  If L is,
+    (x v y') ^ y = (x ^ y) v (y' ^ y) = x ^ y.  Conversely,
+    x ^ y <= x.y = y.x <= x ^ y, so x.y = x ^ y throughout; for a <= b
+    that is (a v b') ^ b = a, so L is orthomodular.  At (y', x) and
+    (x', y') it gives x ^ (x' v y') = x ^ y' and (x' v y) ^ y' = x' ^ y',
+    so c = (x ^ y) v (x ^ y') <= x has x ^ c' = 0, and x = c by the law:
+    every pair commutes, which makes an orthomodular lattice Boolean
+    (Kalmbach, Orthomodular Lattices, 1983, s. 3).
     """
     _, top = lattice.require_bounds()
     n = lattice.n

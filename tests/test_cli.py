@@ -12,6 +12,7 @@ import posetkit
 from posetkit import (
     InternalError,
     checks,
+    cli,
     labeled_equal,
     parse_poset,
     parse_poset_document,
@@ -349,15 +350,22 @@ def test_semimodularity_without_a_witness_is_an_internal_error(capsys, monkeypat
                                     prop="modular")
 
 
-def test_full_checks_of_the_corpus_build_no_view(capsys, monkeypatch):
-    built = []
-    real = poset_module.FinitePoset.view
-    monkeypatch.setattr(poset_module.FinitePoset, "view",
-                        property(lambda self: built.append(self) or real.fget(self)))
+def test_full_checks_of_the_corpus_build_no_lattice_tables(capsys, monkeypatch):
+    contexts = []
+    real = cli.run_properties
+    monkeypatch.setattr(cli, "run_properties",
+                        lambda ctx, names: contexts.append(ctx) or real(ctx, names))
     for name in member_names():
         code, out, _ = run(capsys, "check", name)
         assert code == 0 and "check: completion-modular" in out, name
-    assert built == []
+    assert len(contexts) == len(member_names())
+    for ctx in contexts:
+        for lattice in (ctx.poset, ctx.dm):
+            assert residuation._lattice_tables not in lattice._kept, lattice.names
+    # the probe sees the tables once residuation builds them
+    ctx = contexts[member_names().index("ba4")]
+    residuation.bdm_transform(ctx.dm, "boolean")
+    assert residuation._lattice_tables in ctx.dm._kept
 
 
 def test_criterion_failure_without_a_witness_is_an_internal_error(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from posetkit.completion import (
 )
 from posetkit.errors import PosetError, SizeLimitExceeded
 from posetkit.poset import FinitePoset, build_poset, is_antitone_involution
+from posetkit.residuation import _lattice_tables
 
 SMALL_MEMBERS = ("chain2", "chain3", "ba4", "mo2", "benzene", "diamond")
 WITH_INVOLUTION = tuple(name for name in corpus.member_names()
@@ -158,16 +159,26 @@ def test_no_involution_is_lifted_from_a_non_antitone_one():
     assert count > 100
 
 
-def test_lattice_ops_agree_with_the_poset_view():
-    """The tables of the completion's ``view`` are intersection and its De
-    Morgan dual through the induced involution."""
-    lattice = complete(corpus.load("fig2"))
-    view = lattice.view
-    closed, index, inv = lattice.closed, lattice.index, lattice.inv
-    for i, x in enumerate(closed):
-        for j, y in enumerate(closed):
-            assert view.meet[i][j] == index[x & y]
-            assert view.join[i][j] == inv[index[closed[inv[i]] & closed[inv[j]]]]
+def assert_meet_sets_agree_with_the_down_rows(lattice):
+    """The meet table a completion reads through its ``(closed, index)``
+    is the one its validated copy reads through ``(down, by_down)``, and
+    its join table is the De Morgan dual of that meet table through the
+    induced involution, where there is one."""
+    assert lattice.meet_sets == (lattice.closed, lattice.index)
+    flat = validated(lattice)
+    join, meet = _lattice_tables(lattice)
+    assert meet == [[flat.by_down[a & b] for b in flat.down] for a in flat.down]
+    inv = lattice.inv
+    if inv is not None:
+        assert join == [[inv[meet[inv[i]][inv[j]]] for j in range(lattice.n)]
+                        for i in range(lattice.n)]
+
+
+def test_completion_meet_sets_agree_with_the_down_rows(population):
+    for name in corpus.member_names():
+        assert_meet_sets_agree_with_the_down_rows(complete(corpus.load(name)))
+    for row in population:
+        assert_meet_sets_agree_with_the_down_rows(row["ctx"].dm)
 
 
 def test_new_elements_are_named_by_their_maximal_members():

@@ -71,9 +71,9 @@ walk is the oracle on every lattice of the generator families and the
 population.
 
 Cone distributivity used to build its whole pair table and walk every
-triple, a lattice's witness came from a walk over the join and meet
-tables of its ``.view``, and modularity walked every y against each
-x < z over the same tables.  Modularity is now decided by
+triple, a lattice's witness came from a walk over its join and meet
+tables, and modularity walked every y against each x < z over the same
+tables.  Modularity is now decided by
 semimodularity on the cover rows, and the witness walks skip the
 triples where the law holds outright; the three full walks are oracles
 here and must give the same witness or None, semimodularity must agree
@@ -127,6 +127,7 @@ from posetkit.residuation import (
     KINDS,
     OperatorPair,
     operator_pair,
+    _lattice_tables,
     pseudocomplement_table,
     relative_pseudocomplement,
 )
@@ -354,14 +355,15 @@ def closed_pair_strongly_d_continuous(poset, lattice=None):
                 "is not below some upper bound of B")
 
 
-def meet_table_exchange_violation(sets, ups, inv, zero):
+def meet_table_exchange_violation(lattice):
     """First x != y with x ^ y = x and x' ^ y = 0, every pair of ids in
-    order, read off the meet table of the lattice view: the meet of x
-    and y is the element whose down-set is sets[x] & sets[y].  ``ups``
-    is not read; it keeps the signature of the scan this replaces."""
+    order, read off a meet table built here: the meet of x and y is the
+    element whose down-set is sets[x] & sets[y], the closed sets of a
+    completion or the down rows of a lattice poset."""
+    sets = lattice.closed if isinstance(lattice, DMLattice) else lattice.down
+    inv, bottom = lattice.inv, lattice.bottom
     index = {mask: k for k, mask in enumerate(sets)}
     meet = [[index[a & b] for b in sets] for a in sets]
-    bottom = index[zero]
     for x in range(len(sets)):
         for y in range(len(sets)):
             if x != y and meet[x][y] == x and meet[inv[x]][y] == bottom:
@@ -623,18 +625,15 @@ def exchange_pairs(poset):
     pairs = []
     lattice = outcome(complete, poset)
     if complemented(poset):
-        zero = lattice.closed[lattice.bottom]
-        pairs.append((checks._exchange_violation(lattice.closed, lattice.up,
-                                                 lattice.inv, zero),
+        pairs.append((checks._exchange_violation(lattice),
                       closed_pair_sdc_violation(poset, lattice)))
-    tables = []
+    lattices = []
     if not isinstance(lattice, tuple) and lattice.inv is not None:
-        tables.append((lattice.closed, lattice.up, lattice.inv, lattice.bottom))
+        lattices.append(lattice)
     if poset.inv is not None and lattice_violation(poset) is None:
-        tables.append((poset.down, poset.up, poset.inv, poset.bottom))
-    for sets, ups, inv, bottom in tables:
-        pairs.append((checks._exchange_violation(sets, ups, inv, sets[bottom]),
-                      meet_table_exchange_violation(sets, ups, inv, sets[bottom])))
+        lattices.append(poset)
+    for target in lattices:
+        pairs.append((checks._exchange_violation(target), meet_table_exchange_violation(target)))
     return pairs
 
 
@@ -689,24 +688,26 @@ def table_distributive_violation(poset, dual):
     return None
 
 
-def view_distributive_violation(view, dual):
+def tables_distributive_violation(tables, dual):
     """The lattice forms of the cone identities, (x v y) ^ z against
-    (x ^ z) v (y ^ z) and dually, over every triple of the view's tables."""
-    join, meet = (view.join, view.meet) if not dual else (view.meet, view.join)
-    for x in range(view.size):
-        for y in range(view.size):
+    (x ^ z) v (y ^ z) and dually, over every triple of the (join, meet)
+    tables of :func:`_lattice_tables`."""
+    join, meet = tables if not dual else tables[::-1]
+    size = len(meet)
+    for x in range(size):
+        for y in range(size):
             lhs = meet[join[x][y]]
-            for z in range(view.size):
+            for z in range(size):
                 if lhs[z] != join[meet[x][z]][meet[y][z]]:
                     return (x, y, z)
     return None
 
 
-def view_modularity_violation(lattice):
+def tables_modularity_violation(tables, names):
     """First x <= z, x != z, and y with x v (y ^ z) != (x v y) ^ z over
-    the view's tables, every y visited."""
-    view, names = lattice.view, lattice.names
-    join, meet, size = view.join, view.meet, view.size
+    the (join, meet) tables of :func:`_lattice_tables`, every y visited."""
+    join, meet = tables
+    size = len(meet)
     for x in range(size):
         for z in range(size):
             if x == z or meet[x][z] != x:
@@ -726,35 +727,33 @@ def walked_distributive_poset(poset):
 
 def walked_distributive_lattice(lattice):
     """Lattice distributivity by the two first-triple walks over the
-    join and meet tables of the view, a completion's through ``validated``."""
+    join and meet tables, a completion's through ``validated``."""
     poset = validated(lattice) if isinstance(lattice, DMLattice) else lattice
-    view = poset.view
-    return checks._distributive_report(view_distributive_violation(view, dual=False),
-                                       view_distributive_violation(view, dual=True),
+    tables = _lattice_tables(poset)
+    return checks._distributive_report(tables_distributive_violation(tables, dual=False),
+                                       tables_distributive_violation(tables, dual=True),
                                        poset.names.__getitem__)
 
 
 def table_orthomodular_lattice(lattice):
     """Lattice orthomodularity with the complement guard and the identity
-    walked over the join and meet tables of the view, a completion's
-    through ``validated``."""
+    walked over the join and meet tables, a completion's through
+    ``validated``."""
     if isinstance(lattice, DMLattice):
         if lattice.inv is None:
             raise MissingInvolution("completion carries no involution")
         inv, bottom, top = lattice.inv, lattice.bottom, lattice.top
-        sets, ups = lattice.closed, lattice.up
         flat = validated(lattice)
-        view, names = flat.view, flat.names
+        (join, meet), names = _lattice_tables(flat), flat.names
     else:
         if lattice.inv is not None:
             anti = is_antitone_involution(lattice)
             if not anti.holds:
                 raise NotComplemented("involution is not antitone: " + anti.details)
-        view, names = lattice.view, lattice.names
+        (join, meet), names = _lattice_tables(lattice), lattice.names
         inv = lattice.require_involution()
         bottom, top = lattice.require_bounds()
-        sets, ups = lattice.down, lattice.up
-    join, meet, size = view.join, view.meet, view.size
+    size = len(meet)
     for k in range(size):
         if meet[k][inv[k]] != bottom or join[k][inv[k]] != top:
             raise NotComplemented(f"{names[k]} meets or joins its image improperly")
@@ -767,7 +766,7 @@ def table_orthomodular_lattice(lattice):
             if join[meet[top_xy][inv[y]]][y] != top_xy:
                 identity = (x, y)
                 break
-    exchange = checks._exchange_violation(sets, ups, inv, sets[bottom])
+    exchange = checks._exchange_violation(lattice)
     if (identity is None) != (exchange is None):
         raise InternalError("orthomodular identity and exchange condition must agree")
     if identity is None:
@@ -1314,21 +1313,22 @@ def lattices_of(poset):
 
 def assert_walks_match_the_full_walks(target, verdicts):
     """The distributivity walk gives the full pair-table walk's triple or
-    None, each form; on a lattice, also the view walk's, and the
-    modularity walk the view walk's witness or None, which
+    None, each form; on a lattice, also the lattice-table walk's, and the
+    modularity walk the lattice-table walk's witness or None, which
     semimodularity must match.  A completion is compared with its
     ``validated`` copy, whose covers are the minimal elements of its up
     rows.  ``verdicts`` counts the passing and failing walks."""
     flat = validated(target) if isinstance(target, DMLattice) else target
     is_lattice = isinstance(target, DMLattice) or lattice_violation(target) is None
+    tables = _lattice_tables(flat) if is_lattice else None
     for dual in (False, True):
         found = checks._distributive_violation(target, dual)
         assert found == table_distributive_violation(flat, dual), (target.names, dual)
         if is_lattice:
-            assert found == view_distributive_violation(flat.view, dual), (target.names, dual)
+            assert found == tables_distributive_violation(tables, dual), (target.names, dual)
         verdicts["distributive", found is None] += 1
     if is_lattice:
-        bad = view_modularity_violation(flat)
+        bad = tables_modularity_violation(tables, flat.names)
         assert checks.find_modularity_violation(target) == bad, target.names
         assert checks._semimodular(target) == (bad is None), target.names
         verdicts["modular", bad is None] += 1
@@ -1395,4 +1395,4 @@ def test_crown_completions_are_modular_on_covers(k):
 def test_crown12_completion_is_modular_on_covers():
     ctx = CheckContext(crown(12))
     assert PROPERTIES["completion-modular"](ctx).holds
-    assert ctx.dm._view is None
+    assert _lattice_tables not in ctx.dm._kept

@@ -1,9 +1,10 @@
-"""The lattice view against the routes it replaced.
+"""Lattice operations against the routes they replaced.
 
-Before the view, completion-level joins were closures of unions and
-lattice-level joins and meets were cone scans.  Those routes are kept
-here as oracles: every check that now reads the view's tables must give
-the same report, witness included, and bdm_transform the same tables.
+Completion-level joins used to be closures of unions, and lattice-level
+joins and meets cone scans.  Those routes are kept here as oracles:
+every check that now reads a join in ``by_up`` and a meet through
+``meet_sets`` must give the same report, witness included, and
+bdm_transform the same tables.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from posetkit import poset as poset_module
 from posetkit.checks import (
     PROPERTIES,
     CheckContext,
+    _lattice_ops,
     find_modularity_violation,
     is_distributive_lattice,
     is_distributive_poset,
@@ -23,12 +25,12 @@ from posetkit.completion import DMLattice, complete
 from posetkit.errors import MissingInvolution, NotALattice, NotComplemented, PosetError
 from posetkit.poset import is_antitone_involution, lattice_violation
 from posetkit.report import CheckReport
-from posetkit.residuation import KINDS, bdm_transform, pseudocomplement_table
+from posetkit.residuation import KINDS, _lattice_tables, bdm_transform, pseudocomplement_table
 
 
 class ConeOps:
-    """Join, meet and order of a lattice the pre-view way: closures
-    of unions on a completion, cone scans on a poset."""
+    """Join, meet and order of a lattice the old way: closures of unions
+    on a completion, cone scans on a poset."""
 
     def __init__(self, lattice):
         if isinstance(lattice, DMLattice):
@@ -130,7 +132,7 @@ def renamed(report, name):
     return CheckReport(name, report.holds, report.witness, report.details, report.extra)
 
 
-def assert_view_matches_oracles(poset, ctx=None):
+def assert_lattice_ops_match_oracles(poset, ctx=None):
     ctx = ctx or CheckContext(poset)
     dm = ctx.dm
     oracles = {
@@ -157,22 +159,22 @@ def astuple(ops):
 
 @pytest.mark.parametrize("name", corpus.member_names())
 def test_view_matches_oracles_on_the_corpus(name):
-    assert_view_matches_oracles(corpus.load(name))
+    assert_lattice_ops_match_oracles(corpus.load(name))
 
 
 @pytest.mark.parametrize("name", corpus.member_names())
 def test_view_matches_oracles_on_corpus_completions(name):
-    assert_view_matches_oracles(validated(complete(corpus.load(name))))
+    assert_lattice_ops_match_oracles(validated(complete(corpus.load(name))))
 
 
 def test_view_matches_oracles_on_the_population(population):
     for row in population:
-        assert_view_matches_oracles(row["poset"], row["ctx"])
+        assert_lattice_ops_match_oracles(row["poset"], row["ctx"])
 
 
 def test_view_matches_oracles_on_population_completions(population):
     for row in population:
-        assert_view_matches_oracles(validated(row["ctx"].dm))
+        assert_lattice_ops_match_oracles(validated(row["ctx"].dm))
 
 
 def test_non_lattices_raise_the_witness_message():
@@ -180,7 +182,8 @@ def test_non_lattices_raise_the_witness_message():
         poset = corpus.load(name)
         bad = lattice_violation(poset)
         message = f"{bad['x']}, {bad['y']} have no {bad['missing']}"
-        for run in (lambda: poset.view, lambda: find_modularity_violation(poset),
+        for run in (lambda: _lattice_tables(poset), lambda: _lattice_ops(poset),
+                    lambda: find_modularity_violation(poset),
                     lambda: PROPERTIES["orthomodular-lattice"](CheckContext(poset)),
                     lambda: bdm_transform(poset, "boolean")):
             with pytest.raises(NotALattice) as caught:
@@ -207,20 +210,21 @@ def test_a_non_lattice_view_is_refused_once(monkeypatch):
              "orthocomplete")
     assert [exc for _, _, exc in run_properties(ctx, names)].count(None) == 3
     with pytest.raises(NotALattice) as caught:
-        fig3.view
+        fig3.kept(_lattice_tables)
     bad = real(fig3)
     assert str(caught.value) == f"{bad['x']}, {bad['y']} have no {bad['missing']}"
     # the scan while loading found the missing join or meet; the rest reuse it
     assert calls == [fig3]
 
 
-def test_passing_completion_laws_build_no_view_and_no_down_rows():
+def test_passing_completion_laws_build_no_tables_and_no_down_rows():
     for name, props in (("fig1a", ("completion-distributive", "completion-orthomodular")),
                         ("ba16", ("completion-distributive", "completion-orthomodular")),
                         ("fig2", ("completion-orthomodular", "strongly-d-continuous"))):
         ctx = CheckContext(corpus.load(name))
         assert all(PROPERTIES[prop](ctx).holds for prop in props), name
-        assert ctx.dm._view is None and completion._down_rows not in ctx.dm._kept, name
+        assert _lattice_tables not in ctx.dm._kept, name
+        assert completion._down_rows not in ctx.dm._kept, name
 
 
 def test_distributive_lattice_agrees_with_the_cone_form():
@@ -233,8 +237,9 @@ def test_completion_join_is_the_closure_of_the_union():
     for name in ("fig2", "fig3", "diamond", "benzene"):
         dm = complete(corpus.load(name))
         ops = ConeOps(dm)
-        view = dm.view
+        join, meet = _lattice_tables(dm)
+        op_join, op_meet = _lattice_ops(dm)
         for i in range(len(dm)):
             for j in range(len(dm)):
-                assert view.join[i][j] == ops.join(i, j)
-                assert view.meet[i][j] == ops.meet(i, j)
+                assert join[i][j] == op_join(i, j) == ops.join(i, j)
+                assert meet[i][j] == op_meet(i, j) == ops.meet(i, j)

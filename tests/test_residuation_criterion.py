@@ -26,13 +26,13 @@ from dataclasses import astuple, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_completion import crown, validated
-from test_cone_rules import complemented, generator_families
+from test_cone_rules import complemented, generator_families, lattice_law_families
 
 from posetkit import corpus, residuation
-from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES
+from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, _distributive_law
 from posetkit.completion import complete
 from posetkit.errors import InternalError, NoRelativePseudocomplement
-from posetkit.poset import bits
+from posetkit.poset import bits, lattice_violation
 from posetkit.report import CheckReport
 from posetkit.residuation import (
     KINDS,
@@ -186,6 +186,44 @@ def test_associativity_flag_is_unchanged():
         ops = bdm_transform(completed, kind)
         assert (verify_left_residuated_lattice(completed, ops, check_associativity=True)
                 == walk_verify(completed, ops, check_associativity=True))
+
+
+def assert_commutative_flag_follows_distributivity(lattice, counts):
+    """Where the law route decides ``boolean`` and ``pseudo_om``, the
+    commutative flag is yes for ``boolean`` and, for ``pseudo_om``, yes
+    exactly when the lattice is distributive; ``counts`` counts the flags
+    by kind."""
+    for kind in ("boolean", "pseudo_om"):
+        try:
+            ops = bdm_transform(lattice, kind)
+        except PRECONDITION_ERRORS:
+            return
+        if residuation._law_holds(lattice, ops) is None:
+            return
+        flag = verify_left_residuated_lattice(lattice, ops).extra["commutative"]
+        assert flag == ("yes" if kind == "boolean" or _distributive_law(lattice) else "no")
+        counts[kind, flag] += 1
+
+
+def test_commutative_flag_follows_distributivity(population):
+    """Over the lattices of ``lattice_law_families`` and their
+    completions, and the population's completions."""
+    counts = dict.fromkeys(((kind, flag) for kind in ("boolean", "pseudo_om")
+                            for flag in ("yes", "no")), 0)
+    for poset in lattice_law_families():
+        if lattice_violation(poset) is None:
+            assert_commutative_flag_follows_distributivity(poset, counts)
+        try:
+            lattice = complete(poset)
+        except PRECONDITION_ERRORS:
+            continue
+        assert_commutative_flag_follows_distributivity(lattice, counts)
+    for row in population:
+        assert_commutative_flag_follows_distributivity(row["ctx"].dm, counts)
+    assert counts["boolean", "no"] == 0
+    # pseudo_om is both commutative and not, often
+    assert min(counts["boolean", "yes"], counts["pseudo_om", "yes"],
+               counts["pseudo_om", "no"]) > 100, counts
 
 
 SMALL_LATTICES = [complete(poset).as_poset() for poset in (
