@@ -149,14 +149,17 @@ def _find_loop(blocks: list[int], order: int) -> list[int] | None:
     return None
 
 
+def _min_loop_order(blocks: list[int], start: int) -> int | None:
+    """The least loop order from ``start`` up, or None."""
+    return next((order for order in range(start, len(blocks) + 1)
+                 if _find_loop(blocks, order)), None)
+
+
 def min_loop_order(diagram: GreechieDiagram) -> int | None:
     masks = _block_masks(diagram)
     if masks is None:
         raise InvalidDiagram("blocks mention duplicate or unknown atoms")
-    for order in range(2, len(masks) + 1):
-        if _find_loop(masks, order):
-            return order
-    return None
+    return _min_loop_order(masks, 2)
 
 
 def validate_greechie(diagram: GreechieDiagram) -> CheckReport:
@@ -206,7 +209,8 @@ def validate_greechie(diagram: GreechieDiagram) -> CheckReport:
                            witness={"blocks": tuple(" ".join(diagram.blocks[k])
                                                     for k in triangle)},
                            details="loop of order 3")
-    loop = min_loop_order(diagram)
+    # blocks sharing at most one atom make no loop of order 2
+    loop = _min_loop_order(masks, 4)
     return CheckReport(name, True,
                        extra={"min-loop-order": "none" if loop is None else str(loop)})
 
@@ -310,7 +314,7 @@ def greechie_to_omp(diagram: GreechieDiagram) -> FinitePoset:
     if not is_orthomodular_poset(result).holds:
         raise InternalError("pasting must produce an orthomodular poset")
     # the scan is kept on the poset for the next reader
-    if is_lattice(result) != (_find_loop(masks, 4) is None):
+    if is_lattice(result) != (valid.extra["min-loop-order"] != "4"):
         raise InternalError("lattice exactly when the diagram has no loop of order 4")
     return result
 

@@ -528,7 +528,7 @@ def finch_criterion(poset: FinitePoset, lattice: DMLattice | None = None) -> Che
     poset.require_complementation("the criterion")
     if lattice is None:
         lattice = complete(poset)
-    zero_closed = poset.closure(0)
+    zero_closed = lattice.closed[lattice.bottom]
     for mask in lattice.closed:
         if mask == zero_closed:
             continue

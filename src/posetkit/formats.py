@@ -34,7 +34,7 @@ class PosetDocument:
                            involution=self.involution)
 
 
-def _tokens(rest: str, line_no: int, offset: int):
+def _tokens(rest: str, offset: int):
     col = offset
     for token in rest.split(" "):
         if token:
@@ -67,14 +67,14 @@ def parse_poset_document(text: str) -> PosetDocument:
                                  line=line_no, column=offset + 1)
             version = int(value)
         elif key == "elements":
-            for token, col in _tokens(rest, line_no, offset):
+            for token, col in _tokens(rest, offset):
                 if token in seen:
                     raise ParseError(f"duplicate element name {token!r}",
                                      line=line_no, column=col)
                 seen.add(token)
                 names.append(token)
         elif key == "covers":
-            for token, col in _tokens(rest, line_no, offset):
+            for token, col in _tokens(rest, offset):
                 low, sep2, high = token.partition("<")
                 if not sep2 or not low or not high or "<" in high:
                     raise ParseError(f"expected 'a<b', got {token!r}",
@@ -82,14 +82,14 @@ def parse_poset_document(text: str) -> PosetDocument:
                 covers.append((low, high))
         elif key == "involution":
             has_involution = True
-            for token, col in _tokens(rest, line_no, offset):
+            for token, col in _tokens(rest, offset):
                 left, sep2, right = token.partition(":")
                 if not sep2 or not left or not right or ":" in right:
                     raise ParseError(f"expected 'x:y', got {token!r}",
                                      line=line_no, column=col)
                 involution.append((left, right))
         elif key == "meta":
-            for token, col in _tokens(rest, line_no, offset):
+            for token, col in _tokens(rest, offset):
                 name, sep2, value = token.partition("=")
                 if not sep2 or not name:
                     raise ParseError(f"expected 'key=value', got {token!r}",
@@ -128,6 +128,8 @@ def _document_from_json(text: str) -> PosetDocument:
             raise ValueError("'metadata' must be an object of JSON strings")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON document: {exc}") from None
+    if not names:
+        raise ParseError("document declares no elements")
     if len(set(names)) != len(names):
         raise ParseError("duplicate element name")
     return PosetDocument(names, covers, involution, tuple(metadata.items()), version)
@@ -208,7 +210,7 @@ def parse_greechie(text: str) -> GreechieDiagram:
                              line=line_no, column=1)
         offset = len(key) + 1
         if key == "atoms":
-            for token, col in _tokens(rest, line_no, offset):
+            for token, col in _tokens(rest, offset):
                 if token in seen:
                     raise ParseError(f"duplicate atom {token!r}",
                                      line=line_no, column=col)
@@ -217,7 +219,7 @@ def parse_greechie(text: str) -> GreechieDiagram:
         elif key == "block":
             block: list[str] = []
             cols: list[int] = []
-            for token, col in _tokens(rest, line_no, offset):
+            for token, col in _tokens(rest, offset):
                 if token in block:
                     raise ParseError(f"atom {token!r} repeated in block",
                                      line=line_no, column=col)

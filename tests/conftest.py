@@ -1,17 +1,20 @@
-"""Shared fixtures: the generated poset population and a terminal
-summary that prints one line per acceptance criterion."""
+"""Shared fixtures: the generated poset population, the session's route
+oracle comparisons, and a terminal summary that prints one line per
+acceptance criterion and one per route oracle."""
 
 import re
 
 import pytest
 
-from posetkit.build import generate_small
-from posetkit.checks import PROPERTIES, CheckContext
-from posetkit.poset import build_poset
+# before the import, so the oracles' asserts hold under python -O
+pytest.register_assert_rewrite("oracles")
 
-RANDOM_COUNT = 200
-RANDOM_SEED = 20260814
-RANDOM_MAX_SIZE = 10
+import families
+from oracles import ORACLES, Comparisons
+
+from posetkit.checks import PROPERTIES, CheckContext
+
+COMPARISONS = pytest.StashKey[Comparisons]()
 
 
 @pytest.fixture(scope="session")
@@ -22,12 +25,8 @@ def population():
     shared by the acceptance criteria that quantify over generated
     posets so each completion is computed once.
     """
-    posets = list(generate_small(7, "complemented", exhaustive=True))
-    stream = generate_small(RANDOM_MAX_SIZE, "complemented", seed=RANDOM_SEED)
-    for _ in range(RANDOM_COUNT):
-        posets.append(next(stream))
     rows = []
-    for poset in posets:
+    for poset in families.population():
         ctx = CheckContext(poset)
         rows.append({
             "poset": poset,
@@ -40,23 +39,11 @@ def population():
     return rows
 
 
-@pytest.fixture()
-def prefixed():
-    """Copy a poset with renamed middle elements, bounds kept, so parts
-    can be combined into horizontal sums without name collisions."""
-
-    def rename(poset, prefix):
-        bottom, top = poset.require_bounds()
-        names = [name if i in (bottom, top) else prefix + name
-                 for i, name in enumerate(poset.names)]
-        covers = [(names[i], names[j]) for i, j in poset.cover_pairs()]
-        involution = None
-        if poset.inv is not None:
-            involution = [(names[i], names[poset.inv[i]])
-                          for i in range(poset.n)]
-        return build_poset(names, covers, involution=involution)
-
-    return rename
+@pytest.fixture(scope="session")
+def comparisons(request):
+    """The route oracle comparisons of this session, each made once."""
+    request.config.stash[COMPARISONS] = Comparisons()
+    return request.config.stash[COMPARISONS]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -76,3 +63,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line("acceptance criteria:")
         for num in sorted(outcomes):
             terminalreporter.write_line(f"  criterion {num:2d}: {outcomes[num]}")
+    made = config.stash.get(COMPARISONS, None)
+    if made is not None:
+        terminalreporter.write_line("")
+        terminalreporter.write_line("route oracles, distinct posets compared:")
+        for name in ORACLES:
+            terminalreporter.write_line(f"  {name}: {len(made.outcomes[name])}")

@@ -9,6 +9,8 @@ pass/fail line per criterion (see conftest).
 
 import random
 
+from families import rename
+
 from posetkit.build import (
     dm_hsum_isomorphism,
     generate_small,
@@ -183,7 +185,7 @@ def test_criterion_08():
         assert verdict.holds, name
 
 
-def test_criterion_09(prefixed):
+def test_criterion_09():
     """Completion commutes with horizontal sums, edge for edge, on the
     bundled decomposition and on random part combinations."""
     report = dm_hsum_isomorphism([load("fig1b"),
@@ -197,7 +199,7 @@ def test_criterion_09(prefixed):
     rng = random.Random(97)
     for round_no in range(5):
         picks = rng.sample(range(len(pool)), rng.randint(2, 3))
-        parts = [prefixed(pool[i], f"h{round_no}{slot}")
+        parts = [rename(pool[i], f"h{round_no}{slot}")
                  for slot, i in enumerate(picks)]
         report = dm_hsum_isomorphism(parts)
         assert report.holds, (picks, report.witness)

@@ -1,6 +1,7 @@
 """Horizontal sums, block-diagram pasting, and the small-poset generator."""
 
 import pytest
+from families import greechie_loop_diagram, rename
 from hypothesis import given, settings, strategies as st
 
 from posetkit import corpus
@@ -35,7 +36,7 @@ from posetkit.errors import (
     SizeLimitExceeded,
     UnboundedPart,
 )
-from posetkit.formats import serialize_poset
+from posetkit.formats import parse_greechie, serialize_poset
 from posetkit.poset import (
     _transitive_closure,
     bits,
@@ -153,6 +154,18 @@ def test_fig3_diagram_has_a_four_loop_and_is_not_a_lattice():
     assert is_orthomodular_poset(poset).holds
 
 
+def test_reported_loop_order_is_the_least_one():
+    """The validation searches loops from order 4, the least order that
+    blocks sharing at most one atom can close."""
+    diagrams = [parse_greechie(corpus.bundled_text("fig3")[1]),
+                GreechieDiagram(atoms=("a", "b", "c", "d", "e"),
+                                blocks=(("a", "b", "c"), ("c", "d", "e"))),
+                *map(greechie_loop_diagram, range(4, 7))]
+    orders = [validate_greechie(diagram).extra["min-loop-order"] for diagram in diagrams]
+    assert orders == [str(min_loop_order(diagram)).lower() for diagram in diagrams]
+    assert orders == ["4", "none", "4", "5", "6"]
+
+
 def test_two_blocks_paste_to_a_twelve_element_lattice():
     poset = corpus.two_block_pasting()
     assert poset.n == 12
@@ -166,9 +179,9 @@ def test_two_blocks_paste_to_a_twelve_element_lattice():
     assert poset.leq("a", "c'") and poset.leq("d", "c'")
 
 
-def test_sum_of_pseudo_orthomodular_parts_is_pseudo_orthomodular(prefixed):
+def test_sum_of_pseudo_orthomodular_parts_is_pseudo_orthomodular():
     parts = [corpus.load("fig1b"),
-             prefixed(corpus.load("mo2"), "r"),
+             rename(corpus.load("mo2"), "r"),
              corpus.boolean_algebra(2, ("g", "g'"))]
     assert is_pseudo_orthomodular(horizontal_sum(parts)).holds
 

@@ -3,91 +3,27 @@
 from itertools import permutations
 
 import pytest
+from families import family, member
+from oracles import ORACLES, named, next_closure
 
 from posetkit import corpus
 from posetkit.build import generate_small
-from posetkit.completion import (
-    DEFAULT_MAX_CLOSED_SETS,
-    check_join_meet_density,
-    complete,
-)
+from posetkit.completion import check_join_meet_density, complete
 from posetkit.errors import PosetError, SizeLimitExceeded
 from posetkit.poset import FinitePoset, build_poset, is_antitone_involution
-from posetkit.residuation import _lattice_tables
 
-SMALL_MEMBERS = ("chain2", "chain3", "ba4", "mo2", "benzene", "diamond")
 WITH_INVOLUTION = tuple(name for name in corpus.member_names()
                         if name != "diamond")
 
 
-def brute_force_closed_sets(poset):
-    return {poset.closure(subset) for subset in range(poset.full + 1)}
+@pytest.mark.parametrize("name", [name for name in corpus.member_names()
+                                  if ORACLES["brute-force"].takes(member(name), "tier-1")])
+def test_lectic_enumeration_matches_brute_force(name, comparisons):
+    comparisons.compare("brute-force", member(name))
 
 
-def next_closure(poset, max_closed_sets=DEFAULT_MAX_CLOSED_SETS):
-    """Ganter's NextClosure ("Two basic algorithms in concept analysis",
-    1984), the enumeration complete() used before intersection closure.
-
-    The lectic successor of A is closure((A & low_i) | {i}) for the
-    largest i not in A whose closure adds nothing below i.
-    """
-    current = poset.closure(0)
-    out = [current]
-    while current != poset.full:
-        if len(out) >= max_closed_sets:
-            raise SizeLimitExceeded(
-                f"more than {max_closed_sets} closed sets; raise max_closed_sets")
-        for i in reversed(range(poset.n)):
-            bit = 1 << i
-            if current & bit:
-                continue
-            low = bit - 1
-            candidate = poset.closure((current & low) | bit)
-            if candidate & low == current & low:
-                break
-        else:
-            raise AssertionError("lectic successor must exist below the full set")
-        current = candidate
-        out.append(current)
-    return out
-
-
-def crown(k):
-    """S_k: 0 < a_i < b_j < 1 for i != j, with a_i' = b_i; its completion
-    is the Boolean algebra on k atoms."""
-    a = [f"a{i}" for i in range(k)]
-    b = [f"b{i}" for i in range(k)]
-    covers = ([("0", x) for x in a] + [(y, "1") for y in b]
-              + [(a[i], b[j]) for i in range(k) for j in range(k) if i != j])
-    involution = [("0", "1")] + list(zip(a, b))
-    return build_poset(["0"] + a + b + ["1"], covers, involution=involution)
-
-
-def validated(dm):
-    """The completion's rows, names and involution put through the full
-    validation of ``FinitePoset``: a plain poset independent of it."""
-    return FinitePoset(dm.names, dm.up, dm.inv)
-
-
-FAMILIES = {
-    **{f"chain{k}": corpus.chain(k) for k in (2, 3, 5, 9, 17)},
-    **{f"ba{1 << k}": corpus.boolean_algebra(k) for k in range(6)},
-    **{f"crown{k}": crown(k) for k in range(3, 7)},
-    **{f"mo{n}": corpus.mo(n) for n in (1, 2, 5, 8, 9)},
-}
-
-
-@pytest.mark.parametrize("name", SMALL_MEMBERS)
-def test_lectic_enumeration_matches_brute_force(name):
-    poset = corpus.load(name)
-    lattice = complete(poset)
-    assert set(lattice.closed) == brute_force_closed_sets(poset)
-    assert len(set(lattice.closed)) == len(lattice.closed)
-
-
-def test_lectic_enumeration_on_generated_posets():
-    for poset in generate_small(5, "any", exhaustive=True):
-        assert set(complete(poset).closed) == brute_force_closed_sets(poset)
+def test_lectic_enumeration_on_generated_posets(comparisons):
+    comparisons.tally("brute-force", family("small").values())
 
 
 def test_completion_sizes_of_the_figures():
@@ -159,26 +95,9 @@ def test_no_involution_is_lifted_from_a_non_antitone_one():
     assert count > 100
 
 
-def assert_meet_sets_agree_with_the_down_rows(lattice):
-    """The meet table a completion reads through its ``(closed, index)``
-    is the one its validated copy reads through ``(down, by_down)``, and
-    its join table is the De Morgan dual of that meet table through the
-    induced involution, where there is one."""
-    assert lattice.meet_sets == (lattice.closed, lattice.index)
-    flat = validated(lattice)
-    join, meet = _lattice_tables(lattice)
-    assert meet == [[flat.by_down[a & b] for b in flat.down] for a in flat.down]
-    inv = lattice.inv
-    if inv is not None:
-        assert join == [[inv[meet[inv[i]][inv[j]]] for j in range(lattice.n)]
-                        for i in range(lattice.n)]
-
-
-def test_completion_meet_sets_agree_with_the_down_rows(population):
-    for name in corpus.member_names():
-        assert_meet_sets_agree_with_the_down_rows(complete(corpus.load(name)))
-    for row in population:
-        assert_meet_sets_agree_with_the_down_rows(row["ctx"].dm)
+def test_completion_meet_sets_agree_with_the_down_rows(population, comparisons):
+    comparisons.tally("lattice-tables", [*family("corpus").values(),
+                                         *(row["poset"] for row in population)])
 
 
 def test_new_elements_are_named_by_their_maximal_members():
@@ -202,22 +121,18 @@ def test_size_cap():
 
 
 @pytest.mark.parametrize("name", corpus.member_names())
-def test_lectic_order_matches_next_closure_on_the_corpus(name):
-    poset = corpus.load(name)
-    assert list(complete(poset).closed) == next_closure(poset)
+def test_lectic_order_matches_next_closure_on_the_corpus(name, comparisons):
+    comparisons.compare("next-closure", member(name))
 
 
-@pytest.mark.parametrize("label", FAMILIES)
-def test_lectic_order_matches_next_closure_on_families(label):
-    poset = FAMILIES[label]
-    assert list(complete(poset).closed) == next_closure(poset)
+@pytest.mark.parametrize("label", named("next-closure"))
+def test_lectic_order_matches_next_closure_on_families(label, comparisons):
+    comparisons.compare("next-closure", member(label))
 
 
-def test_lectic_order_matches_next_closure_on_generated_posets():
-    generated = (list(generate_small(5, "any", exhaustive=True))
-                 + list(generate_small(7, "complemented", exhaustive=True)))
-    for poset in generated:
-        assert list(complete(poset).closed) == next_closure(poset)
+def test_lectic_order_matches_next_closure_on_generated_posets(comparisons):
+    comparisons.tally("next-closure", [*family("small").values(),
+                                       *family("complemented").values()])
 
 
 def closed_sets_or_cap(enumerate_closed, poset, cap):
@@ -230,7 +145,7 @@ def closed_sets_or_cap(enumerate_closed, poset, cap):
 @pytest.mark.parametrize("label", ["fig3", "diamond", "ba1", "ba16", "chain2", "crown4",
                                    "crown6", "mo8"])
 def test_cap_matches_next_closure(label):
-    poset = FAMILIES[label] if label in FAMILIES else corpus.load(label)
+    poset = member(label)
     count = len(next_closure(poset))
     assert len(complete(poset, max_closed_sets=count)) == count
     if count > 1:

@@ -3,9 +3,8 @@ exhaustive size cap.  Opt-in: deselected by default, run with
 ``python -m pytest -m exhaustive``."""
 
 import pytest
-from test_completion import crown
+from families import crown, family
 
-from posetkit.build import EXHAUSTIVE_SIZE_CAP, generate_small
 from posetkit.checks import PROPERTIES, CheckContext, naive_strongly_d_continuous, run_check
 from posetkit.corpus import boolean_algebra
 from posetkit.residuation import (
@@ -18,7 +17,7 @@ pytestmark = pytest.mark.exhaustive
 
 
 def test_equivalences_over_every_complemented_poset_up_to_the_cap():
-    posets = list(generate_small(EXHAUSTIVE_SIZE_CAP, "complemented", exhaustive=True))
+    posets = list(family("complemented").values())
     assert len(posets) == 9
     for poset in posets:
         ctx = CheckContext(poset)
@@ -37,7 +36,7 @@ def test_residuation_over_every_complemented_poset_up_to_the_cap():
     exactly when it is also distributive; the pseudo_om operators are
     left residuated on every pseudo-orthomodular poset."""
     pom_count = 0
-    for poset in generate_small(EXHAUSTIVE_SIZE_CAP, "complemented", exhaustive=True):
+    for poset in family("complemented").values():
         ctx = CheckContext(poset)
         oml = PROPERTIES["completion-orthomodular"](ctx).holds
         distributive = PROPERTIES["completion-distributive"](ctx).holds

@@ -8,7 +8,6 @@ from posetkit import (
     build_poset,
     complete,
     export_dot,
-    greechie_to_omp,
     labeled_equal,
     parse_greechie,
     parse_poset,
@@ -138,8 +137,9 @@ def test_plain_format_must_be_ascii_one(version):
 
 
 def test_document_without_elements():
-    with pytest.raises(ParseError, match="declares no elements"):
-        parse_poset("# nothing but a comment\n")
+    for text in ("# nothing but a comment\n", '{"elements": []}'):
+        with pytest.raises(ParseError, match="^document declares no elements$"):
+            parse_poset(text)
 
 
 def test_json_decode_error_carries_position():
