@@ -107,17 +107,11 @@ def _completion_or_none(poset):
 
 def scan_least(poset, subset):
     """Least element of a subset, if it has one."""
-    for i in bits(subset):
-        if subset & ~poset.up[i] == 0:
-            return i
-    return None
+    return next((i for i in bits(subset) if subset & ~poset.up[i] == 0), None)
 
 
 def scan_greatest(poset, subset):
-    for i in bits(subset):
-        if subset & ~poset.down[i] == 0:
-            return i
-    return None
+    return next((i for i in bits(subset) if subset & ~poset.down[i] == 0), None)
 
 
 def scan_join(poset, subset):
@@ -140,11 +134,8 @@ def scan_lattice_violation(poset):
 
 def scan_relative_pseudocomplement(poset, x, y):
     target = poset.down[y]
-    candidates = 0
-    for c in range(poset.n):
-        if poset.down[c] & poset.down[x] & ~target == 0:
-            candidates |= 1 << c
-    return scan_greatest(poset, candidates)
+    return scan_greatest(poset, sum(1 << c for c in range(poset.n)
+                                    if poset.down[c] & poset.down[x] & ~target == 0))
 
 
 def scan_pseudocomplement_table(poset):
@@ -216,9 +207,8 @@ def chain_operator_pair(poset, kind):
 def chain_join_meet_density(poset, lattice):
     for mask in lattice.closed:
         below = poset.closure(mask)
-        above = poset.full
-        for j in bits(poset.upper_cone(mask)):
-            above &= poset.down[j]
+        above = functools.reduce(int.__and__, map(poset.down.__getitem__,
+                                                  bits(poset.upper_cone(mask))), poset.full)
         if below != mask or above != mask:
             return CheckReport("join-meet-density", False,
                                witness={"closed-set": poset.names_of(mask)},
@@ -274,43 +264,46 @@ def compare_cone_scans(poset):
 # -- the orthomodular-poset identity by De Morgan --------------------------------
 
 
-def demorgan_orthomodular_poset(poset):
-    """The orthomodular-poset check with every meet taken by De Morgan,
-    x^y as the image of x' v y'."""
-    comp = is_complementation(poset)
-    if not comp.holds:
-        raise NotComplemented(f"orthomodularity needs a complementation ({comp.details})")
-    inv = poset.inv
-    names = poset.names
+def walked_orthomodular_poset(poset, meet2):
+    """The orthomodular-poset check over every pair, each join taken by
+    ``join_of`` on a two-element mask and each meet by ``meet2``."""
+    inv = poset.require_complementation("orthomodularity")
 
     def join2(a, b):
         return poset.join_of((1 << a) | (1 << b))
+
+    def fail(x, y, details):
+        return CheckReport("orthomodular-poset", False,
+                           witness={"x": poset.names[x], "y": poset.names[y]},
+                           details=details)
 
     for x in range(poset.n):
         for y in range(poset.n):
             orthogonal = bool((poset.up[x] >> inv[y]) & 1)
             if orthogonal and join2(x, y) is None:
-                return CheckReport("orthomodular-poset", False,
-                                   witness={"x": names[x], "y": names[y]},
-                                   details="orthogonal pair without a join")
-            j = join2(inv[x], inv[y])
-            if j is not None:
-                meet_xy = inv[j]
+                return fail(x, y, "orthogonal pair without a join")
+            meet_xy = meet2(x, y)
+            if meet_xy is not None:
                 j = join2(meet_xy, inv[y])
                 if j is not None:
-                    outer = join2(inv[j], inv[y])
+                    outer = meet2(j, y)
                     if outer is not None:
-                        if inv[outer] != meet_xy:
-                            return CheckReport(
-                                "orthomodular-poset", False,
-                                witness={"x": names[x], "y": names[y]},
-                                details="((x^y) v y') ^ y differs from x^y")
+                        if outer != meet_xy:
+                            return fail(x, y, "((x^y) v y') ^ y differs from x^y")
                         continue
             if orthogonal:
-                return CheckReport("orthomodular-poset", False,
-                                   witness={"x": names[x], "y": names[y]},
-                                   details="identity subterm undefined on an orthogonal pair")
+                return fail(x, y, "identity subterm undefined on an orthogonal pair")
     return CheckReport("orthomodular-poset", True)
+
+
+def demorgan_orthomodular_poset(poset):
+    """Every meet by De Morgan, x^y as the image of x' v y'."""
+
+    def meet2(a, b):
+        j = poset.join_of((1 << poset.inv[a]) | (1 << poset.inv[b]))
+        return None if j is None else poset.inv[j]
+
+    return walked_orthomodular_poset(poset, meet2)
 
 
 def compare_de_morgan(poset):
@@ -409,11 +402,8 @@ def meet_table_exchange_violation(lattice):
     inv, bottom = lattice.inv, lattice.bottom
     index = {mask: k for k, mask in enumerate(sets)}
     meet = [[index[a & b] for b in sets] for a in sets]
-    for x in range(len(sets)):
-        for y in range(len(sets)):
-            if x != y and meet[x][y] == x and meet[inv[x]][y] == bottom:
-                return x, y
-    return None
+    return next(((x, y) for x in range(len(sets)) for y in range(len(sets))
+                 if x != y and meet[x][y] == x and meet[inv[x]][y] == bottom), None)
 
 
 EXCHANGE_REPORTS = ("orthomodular-lattice", "strongly-d-continuous", "completion-orthomodular")
@@ -546,15 +536,8 @@ def table_orthomodular_lattice(lattice):
     for k in range(size):
         if meet[k][inv[k]] != bottom or join[k][inv[k]] != top:
             raise NotComplemented(f"{names[k]} meets or joins its image improperly")
-    identity = None
-    for x in range(size):
-        if identity:
-            break
-        for y in range(size):
-            top_xy = join[x][y]
-            if join[meet[top_xy][inv[y]]][y] != top_xy:
-                identity = (x, y)
-                break
+    identity = next(((x, y) for x in range(size) for y in range(size)
+                     if join[meet[join[x][y]][inv[y]]][y] != join[x][y]), None)
     exchange = checks._exchange_violation(lattice)
     if (identity is None) != (exchange is None):
         raise InternalError("orthomodular identity and exchange condition must agree")
@@ -567,49 +550,36 @@ def table_orthomodular_lattice(lattice):
 
 
 def suprema_orthomodular_poset(poset):
-    """The orthomodular-poset check with every meet and join taken by
-    ``meet_of`` and ``join_of`` on a two-element mask."""
-    inv = poset.require_complementation("orthomodularity")
-
-    def fail(x, y, details):
-        return CheckReport("orthomodular-poset", False,
-                           witness={"x": poset.names[x], "y": poset.names[y]},
-                           details=details)
-
-    for x in range(poset.n):
-        for y in range(poset.n):
-            pair = (1 << x) | (1 << y)
-            orthogonal = bool((poset.up[x] >> inv[y]) & 1)
-            if orthogonal and poset.join_of(pair) is None:
-                return fail(x, y, "orthogonal pair without a join")
-            meet_xy = poset.meet_of(pair)
-            if meet_xy is not None:
-                j = poset.join_of((1 << meet_xy) | (1 << inv[y]))
-                if j is not None:
-                    outer = poset.meet_of((1 << j) | (1 << y))
-                    if outer is not None:
-                        if outer != meet_xy:
-                            return fail(x, y, "((x^y) v y') ^ y differs from x^y")
-                        continue
-            if orthogonal:
-                return fail(x, y, "identity subterm undefined on an orthogonal pair")
-    return CheckReport("orthomodular-poset", True)
+    """Every meet by ``meet_of`` on a two-element mask."""
+    return walked_orthomodular_poset(poset, lambda a, b: poset.meet_of((1 << a) | (1 << b)))
 
 
-LATTICE_REPORTS = ("distributive", "boolean", "orthomodular-poset", "orthomodular-lattice",
-                   "strongly-d-continuous", "completion-orthomodular",
-                   "completion-distributive")
+def table_modular_lattice(lattice):
+    """Lattice modularity by the walk of every triple of the join and
+    meet tables, a completion's through ``validated``."""
+    flat = validated(lattice) if isinstance(lattice, DMLattice) else lattice
+    bad = tables_modularity_violation(_lattice_tables(flat), flat.names)
+    if bad is None:
+        return CheckReport("modular", True)
+    return CheckReport("modular", False, witness=bad,
+                       details="x v (y ^ z) differs from (x v y) ^ z for x <= z")
+
+
+LATTICE_REPORTS = ("distributive", "boolean", "modular", "orthomodular-poset",
+                   "orthomodular-lattice", "strongly-d-continuous", "completion-orthomodular",
+                   "completion-distributive", "completion-modular")
 
 
 def compare_lattice_laws(poset):
     """The same reports, witnesses and precondition errors by the
-    criteria and lookups as by the table walks; and each form of
+    criteria, lookups and covers as by the table walks; and each form of
     Birkhoff's criterion fails exactly where the walks found a triple, on
     the poset when it is a lattice and on its completion."""
     new = reports(poset, LATTICE_REPORTS)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(checks, "_distributive_poset_report", walked_distributive_poset)
         patch.setattr(checks, "is_distributive_lattice", walked_distributive_lattice)
+        patch.setattr(checks, "is_modular_lattice", table_modular_lattice)
         patch.setattr(checks, "is_orthomodular_lattice", table_orthomodular_lattice)
         patch.setattr(checks, "is_orthomodular_poset", suprema_orthomodular_poset)
         walked = dict(zip(LATTICE_REPORTS, reports(poset, LATTICE_REPORTS)))
@@ -632,11 +602,7 @@ def compare_lattice_laws(poset):
 
 def scan_maximal(poset, subset):
     """The maximal elements of a subset, tested one by one through bits()."""
-    out = 0
-    for i in bits(subset):
-        if subset & poset.up[i] == 1 << i:
-            out |= 1 << i
-    return out
+    return sum(1 << i for i in bits(subset) if subset & poset.up[i] == 1 << i)
 
 
 def element_up_rows(lattice):
@@ -1025,10 +991,8 @@ def compare_law_route(poset):
         assert (law is not None) == (ops.kind != "relpseudo" and complemented(poset))
         report = verify_left_residuated_lattice(lattice, ops)
         assert report == verify_left_residuated_lattice(lattice, replace(ops)), ops.kind
-        # the table route names the first column the bit rows find unadjoint
-        column = pair_set_first_column(lattice, ops.odot, ops.arrow)
-        assert (report.witness or {}).get("y") == (column if column is None
-                                                   else lattice.names[column]), ops.kind
+        column = residuation._first_unadjoint_column(lattice, ops.odot, ops.arrow)
+        assert column == pair_set_first_column(lattice, ops.odot, ops.arrow), ops.kind
         assert report.holds == (column is None)
         if law is not None:
             assert law == report.holds
@@ -1249,10 +1213,16 @@ def members(name, tier, among=FAMILIES):
     return list(found.values())
 
 
-def named(oracle):
-    """The labels of the named members the oracle takes in tier-1."""
-    return [label for name in ("crowns", "boolean-algebras", "mo", "chains")
-            for label, poset in family(name).items() if ORACLES[oracle].takes(poset, "tier-1")]
+def assert_compared_in_tier_1(oracle, posets):
+    """Each poset is a family member that the oracle takes in tier-1, so
+    the registry test of its family makes that comparison."""
+    missing = [poset.names for poset in posets if key(poset) not in _tier_1_keys(oracle)]
+    assert not missing, (oracle, missing)
+
+
+@functools.cache
+def _tier_1_keys(oracle):
+    return frozenset(map(key, members(oracle, "tier-1")))
 
 
 class Comparisons:

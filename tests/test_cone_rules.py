@@ -19,12 +19,14 @@ route it keeps as the oracle of a fast route:
 
 Every entry runs on every member of every family in ``families``: in
 tier-1 up to its tier-1 bound, in the ``exhaustive`` tier past it up to
-its limit.  Each comparison is made once a session, so the tests below
-that name a family or a poset read what the registry compared.
+its limit.  Each comparison is made once a session.  The tests below
+that name a poset or a family assert that the registry compares it in
+tier-1; the others pin the counts and verdicts the comparisons saw.
 """
 
 import contextlib
 import random
+from collections import Counter
 
 import pytest
 from families import FAMILIES, GROWING, crown, family, member
@@ -33,10 +35,10 @@ from oracles import (
     ORACLES,
     ORTHOGONALITY_REPORTS,
     TIERS,
+    assert_compared_in_tier_1,
     assert_lookups_match,
     chain_operator_pair,
     members,
-    named,
     outcome,
     reports,
     scan_join,
@@ -102,6 +104,20 @@ def test_every_oracle_compares_at_least_its_floor():
     assert not [name for name in ORACLES if members(name, "exhaustive", generated)]
 
 
+@pytest.mark.exhaustive
+@pytest.mark.parametrize("oracle, labels, expected", [
+    ("closure-walks", ["ba64"], {"pass": 4}),
+    # 2^7, its completion and the completions of S_7 and S_8 are distributive
+    # and modular, and the crowns S_7 and S_8 are distributive posets
+    ("full-walks", ["ba128", "crown7", "crown8"], {("distributive", True): 12,
+                                                   ("modular", True): 4}),
+    # both laws hold on 2^10, the completion of S_10
+    ("law-route", ["crown10"], {("boolean", True): 1, ("pseudo_om", True): 1}),
+])
+def test_counts_past_tier_1(oracle, labels, expected, comparisons):
+    assert comparisons.tally(oracle, map(member, labels)) == Counter(expected)
+
+
 def tier1_tally(comparisons, oracle, extra=()):
     return comparisons.tally(oracle, [*members(oracle, "tier-1"), *extra])
 
@@ -110,24 +126,25 @@ def tier1_tally(comparisons, oracle, extra=()):
 
 
 @pytest.mark.parametrize("name", corpus.member_names())
-def test_corpus_members_match_the_old_routes(name, comparisons):
-    comparisons.compare("cone-scans", member(name))
+def test_corpus_members_match_the_old_routes(name):
+    assert_compared_in_tier_1("cone-scans", [member(name)])
 
 
-@pytest.mark.parametrize("name", named("cone-scans"))
-def test_families_match_the_old_routes(name, comparisons):
-    comparisons.compare("cone-scans", member(name))
+@pytest.mark.parametrize("name", ("ba2 ba4 ba8 ba16 ba32 ba64 crown3 crown4 crown5 crown6 "
+                                  "mo1 mo2 mo3 mo5 mo8 chain2 chain3 chain5 chain9").split())
+def test_families_match_the_old_routes(name):
+    assert_compared_in_tier_1("cone-scans", [member(name)])
 
 
-def test_every_small_poset_matches_the_old_routes(comparisons):
+def test_every_small_poset_matches_the_old_routes():
     posets = family("small").values()
     assert len(posets) == 44
-    comparisons.tally("cone-scans", posets)
+    assert_compared_in_tier_1("cone-scans", posets)
 
 
-def test_population_matches_the_old_routes(population, comparisons):
+def test_population_matches_the_old_routes(population):
     assert len(population) == 204
-    comparisons.tally("cone-scans", [row["poset"] for row in population])
+    assert_compared_in_tier_1("cone-scans", [row["poset"] for row in population])
 
 
 def test_orthomodular_poset_lookups_match_de_morgan(comparisons):
@@ -173,7 +190,8 @@ def test_lookups_are_none_exactly_where_the_scans_are(poset):
 def test_pair_table_and_closure_memo_match_the_walks(comparisons):
     counts = tier1_tally(comparisons, "closure-walks")
     # both outcomes are common, so a walk that always passes or always
-    # fails at its first triple would not go unseen
+    # fails at its first triple would not go unseen; counted over distinct
+    # posets, the rarer outcome comes 356 times
     assert min(counts["pass"], counts["fail"]) > 300, counts
 
 
@@ -262,6 +280,13 @@ def test_orthocomplete_on_lattices_matches_the_walk(population, comparisons):
                            [row["poset"] for row in population])
     # a finite lattice is complete, so none fails; the diamond has no involution
     assert verdicts[True] > 1000 and verdicts["undecided"] and not verdicts[False], verdicts
+
+
+@pytest.mark.exhaustive
+def test_generators_match_the_element_walks_on_crown10(comparisons):
+    comparisons.compare("generators", member("crown10"))
+    finch, orthocomplete = reports(member("crown10"), ORTHOGONALITY_REPORTS)
+    assert finch.holds and not orthocomplete.holds
 
 
 # -- the skipping walks and semimodularity ------------------------------------------------
@@ -380,5 +405,6 @@ def test_crown_completions_are_modular_on_covers(k):
 @pytest.mark.exhaustive
 def test_crown12_completion_is_modular_on_covers():
     ctx = CheckContext(crown(12))
+    assert len(ctx.dm) == 1 << 12
     assert PROPERTIES["completion-modular"](ctx).holds
     assert _lattice_tables not in ctx.dm._kept

@@ -1,12 +1,13 @@
-"""Lattice operations through ``meet_sets`` and ``by_up``: the registry
+"""Lattice operations through ``meet_sets`` and ``by_up``: the corpus,
+the population and their completions stay compared by the registry
 entries (``oracles``) that walk the lattice laws over tables tied to
-closures of unions and cone scans, on the corpus, the population and
-their completions, and the refusals of non-lattices.
+closures of unions and cone scans; the refusals of non-lattices, and
+the laws a passing completion decides with no tables.
 """
 
 import pytest
 from families import member
-from oracles import validated
+from oracles import assert_compared_in_tier_1, validated
 
 from posetkit import checks, completion, corpus
 from posetkit import poset as poset_module
@@ -24,32 +25,29 @@ from posetkit.errors import NotALattice
 from posetkit.poset import lattice_violation
 from posetkit.residuation import _lattice_tables, bdm_transform
 
-# the entries that compare every check reading a join in by_up and a meet
-# through meet_sets, and the bdm_transform tables
-LATTICE_OPERATIONS = ("lattice-laws", "full-walks", "lattice-tables")
 
-
-def compare_lattice_operations(comparisons, posets):
-    for oracle in LATTICE_OPERATIONS:
-        comparisons.tally(oracle, posets)
+def assert_compared_by_lattice_operations(posets):
+    """By the entries whose walks read joins in ``by_up`` and meets in ``meet_sets``."""
+    for oracle in ("lattice-laws", "full-walks", "lattice-tables"):
+        assert_compared_in_tier_1(oracle, posets)
 
 
 @pytest.mark.parametrize("name", corpus.member_names())
-def test_view_matches_oracles_on_the_corpus(name, comparisons):
-    compare_lattice_operations(comparisons, [member(name)])
+def test_view_matches_oracles_on_the_corpus(name):
+    assert_compared_by_lattice_operations([member(name)])
 
 
 @pytest.mark.parametrize("name", corpus.member_names())
-def test_view_matches_oracles_on_corpus_completions(name, comparisons):
-    compare_lattice_operations(comparisons, [validated(complete(member(name)))])
+def test_view_matches_oracles_on_corpus_completions(name):
+    assert_compared_by_lattice_operations([validated(complete(member(name)))])
 
 
-def test_view_matches_oracles_on_the_population(population, comparisons):
-    compare_lattice_operations(comparisons, [row["poset"] for row in population])
+def test_view_matches_oracles_on_the_population(population):
+    assert_compared_by_lattice_operations([row["poset"] for row in population])
 
 
-def test_view_matches_oracles_on_population_completions(population, comparisons):
-    compare_lattice_operations(comparisons, [validated(row["ctx"].dm) for row in population])
+def test_view_matches_oracles_on_population_completions(population):
+    assert_compared_by_lattice_operations([validated(row["ctx"].dm) for row in population])
 
 
 def test_non_lattices_raise_the_witness_message():
@@ -108,6 +106,6 @@ def test_distributive_lattice_agrees_with_the_cone_form():
         assert is_distributive_lattice(lattice) == is_distributive_poset(lattice)
 
 
-def test_completion_join_is_the_closure_of_the_union(comparisons):
-    for name in ("fig2", "fig3", "diamond", "benzene"):
-        comparisons.compare("lattice-tables", member(name))
+def test_completion_join_is_the_closure_of_the_union():
+    assert_compared_in_tier_1("lattice-tables", [member(name) for name in
+                                                 ("fig2", "fig3", "diamond", "benzene")])
