@@ -28,6 +28,7 @@ from .poset import (
     is_complementation,
     is_lattice,
     labeled_diff,
+    transposed,
 )
 from .report import CheckReport
 
@@ -385,10 +386,7 @@ def _labeled_middle_posets(k: int) -> Iterator[list[int]]:
         if size == k:
             yield strict
             return
-        below = [0] * size
-        for i in range(size):
-            for j in bits(strict[i]):
-                below[j] |= 1 << i
+        below = transposed(strict, size)
         full = (1 << size) - 1
         downs = [a for a in range(full + 1)
                  if all(below[i] & ~a == 0 for i in bits(a))]
@@ -422,10 +420,7 @@ def _involutive_middle_maps(strict: list[int],
     formed, since that bound would end up comparable to its own image.
     """
     k = len(strict)
-    below = [0] * k
-    for i in range(k):
-        for j in bits(strict[i]):
-            below[j] |= 1 << i
+    below = transposed(strict, k)
     sigma = list(range(k))
 
     def fits(x: int, assigned: int) -> bool:

@@ -5,7 +5,8 @@ carries the first counterexample in canonical element order (ids
 ascending, outer variable first).  Checkers that are stated through a
 pair of equivalent identities evaluate both forms and raise
 :class:`InternalError` when the verdicts disagree, so a divergence
-between the two routes is never a silent wrong answer.
+between the two routes is never a silent wrong answer.  Each dual form
+is the same walk on ``poset.dual``, the reversed order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .poset import (
     _join_irreducibles,
-    _meet_irreducibles,
     ElementSet,
     FinitePoset,
     bits,
@@ -41,9 +41,9 @@ from .report import CheckReport
 # -- distributivity -----------------------------------------------------
 
 
-def _distributive_violation(poset: FinitePoset, dual: bool) -> tuple | None:
+def _distributive_violation(poset: FinitePoset) -> tuple | None:
     """First (x, y, z) with L(U(x,y),z) != LU(L(x,z),L(y,z)), or None;
-    the dual form swaps the lower and upper cones.  The left side is one
+    on ``poset.dual`` it is the dual form.  The left side is one
     closure, as L(U(A),z) = LU(A) ∩ ↓z.  U turns unions into
     intersections, so the right side is L(T[x][z] ∩ T[y][z]) with the
     pair table T[a][z] = U(↓a ∩ ↓z): one AND per triple, and one lower
@@ -62,16 +62,9 @@ def _distributive_violation(poset: FinitePoset, dual: bool) -> tuple | None:
     * for z in ↓x ∪ ↓y, say z <= x, ↓z lies in LU(x,y) and L(x,z) = ↓z:
       both sides are ↓z;
     * for z in U(x,y), LU(x,y) lies in ↓z and L(x,z) ∪ L(y,z) = ↓x ∪ ↓y:
-      both sides are LU(x,y).
-
-    The dual form skips the dual triples: comparable x, y, and z in
-    ↑x ∪ ↑y or in L(x,y)."""
-    if not dual:
-        lo, up, below, above = poset.lower_cone, poset.upper_cone, poset.down, poset.up
-        by_below, by_above = poset.by_down, poset.by_up
-    else:
-        lo, up, below, above = poset.upper_cone, poset.lower_cone, poset.up, poset.down
-        by_below, by_above = poset.by_up, poset.by_down
+      both sides are LU(x,y)."""
+    lo, up, below, above = poset.lower_cone, poset.upper_cone, poset.down, poset.up
+    by_below, by_above = poset.by_down, poset.by_up
 
     def upper(mask: int) -> int:
         m = by_below.get(mask)
@@ -116,22 +109,18 @@ def _distributive_report(lower_form: tuple | None, upper_form: tuple | None,
                        details="L(U(x,y),z) differs from LU(L(x,z),L(y,z))")
 
 
-def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequence[int],
-                           dual: bool) -> bool:
+def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequence[int]) -> bool:
     """Whether some join-irreducible of a lattice is not join-prime.  The
     lattice is given by closed sets of ``base`` and their upper cones
     U(X), and its join-irreducibles are principal: the ↓x with
     closure(↓x \\ {x}) != ↓x.  Such a j is join-prime exactly when
     X ∨ ↓j, that is L(U(X) ∩ ↑j), holds no irreducible outside X ∪ ↓j,
     for every closed X not containing j; one lower cone per distinct
-    U(X) ∩ ↑j.  The dual form swaps the cones and reads the lattice
-    through the U(X), so it asks the same of the meet-irreducibles.  The
-    irreducibles of each form are kept on ``base``."""
-    lo, below, above = ((base.lower_cone, base.down, base.up) if not dual else
-                        (base.upper_cone, base.up, base.down))
-    if dual:
-        sets, cones = cones, sets
-    irreducible = base.kept(_meet_irreducibles if dual else _join_irreducibles)
+    U(X) ∩ ↑j.  On ``base.dual``, with the sets and cones swapped, it
+    reads the lattice through the U(X) and asks the same of the
+    meet-irreducibles.  The irreducibles are kept on ``base``."""
+    lo, below, above = base.lower_cone, base.down, base.up
+    irreducible = base.kept(_join_irreducibles)
     joins = {}
     for closed, cone in zip(sets, cones):
         for j in bits(irreducible & ~closed):
@@ -153,8 +142,8 @@ def is_distributive_poset(poset: FinitePoset) -> CheckReport:
 
 def _distributive_poset_report(poset: FinitePoset) -> CheckReport:
     if not is_lattice(poset):
-        return _distributive_report(_distributive_violation(poset, dual=False),
-                                    _distributive_violation(poset, dual=True),
+        return _distributive_report(_distributive_violation(poset),
+                                    _distributive_violation(poset.dual),
                                     poset.names.__getitem__)
     return is_distributive_lattice(poset)
 
@@ -167,8 +156,8 @@ def is_distributive_lattice(lattice: FinitePoset) -> CheckReport:
     :func:`is_distributive_poset`."""
     if _distributive_law(lattice):
         return CheckReport("distributive", True)
-    report = _distributive_report(_distributive_violation(lattice, dual=False),
-                                  _distributive_violation(lattice, dual=True),
+    report = _distributive_report(_distributive_violation(lattice),
+                                  _distributive_violation(lattice.dual),
                                   lattice.names.__getitem__)
     if report.holds:
         raise InternalError("a lattice failing Birkhoff's criterion must have a witness triple")
@@ -184,8 +173,8 @@ def _distributive_law(lattice: FinitePoset) -> bool:
     else:
         lattice.require_lattice()
         base, sets, cones = lattice, lattice.down, lattice.up
-    fails = _irreducible_not_prime(base, sets, cones, dual=False)
-    if fails != _irreducible_not_prime(base, sets, cones, dual=True):
+    fails = _irreducible_not_prime(base, sets, cones)
+    if fails != _irreducible_not_prime(base.dual, cones, sets):
         raise InternalError("the join-prime and meet-prime criteria must agree")
     return not fails
 
@@ -411,17 +400,15 @@ def is_modular_lattice(lattice: FinitePoset) -> CheckReport:
 # -- pseudo-orthomodularity ---------------------------------------------
 
 
-def _pseudo_om_violation(poset: FinitePoset, dual: bool) -> tuple | None:
-    """First (x, y) with L(U(L(x,y),y'),y) != L(x,y), or None; the dual
-    form swaps the lower and upper cones.  The outer term is one closure,
+def _pseudo_om_violation(poset: FinitePoset) -> tuple | None:
+    """First (x, y) with L(U(L(x,y),y'),y) != L(x,y), or None; on
+    ``poset.dual`` it is the dual form.  The outer term is one closure,
     LU(L(x,y),y') ∩ ↓y, worked out once per distinct L(x,y) ∪ {y'}.
     The poset is complemented, so the identity holds outright where
     L(x,y) is ↓y (U(y,y') is {1}) or {0} (LU(0,y') ∩ ↓y is L(y',y)),
     and those pairs are skipped."""
-    inv = poset.inv
-    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
-                     else (poset.upper_cone, poset.lower_cone, poset.up))
-    zero = 1 << (poset.top if dual else poset.bottom)
+    inv, lo, up, below = poset.inv, poset.lower_cone, poset.upper_cone, poset.down
+    zero = 1 << poset.bottom
     closures = {}
     for x in range(poset.n):
         for y in range(poset.n):
@@ -440,8 +427,8 @@ def _pseudo_om_violation(poset: FinitePoset, dual: bool) -> tuple | None:
 def is_pseudo_orthomodular(poset: FinitePoset) -> CheckReport:
     """L(U(L(x,y),y'),y) = L(x,y) for all pairs, plus the dual form."""
     poset.require_complementation("pseudo-orthomodularity")
-    lower_form = _pseudo_om_violation(poset, dual=False)
-    upper_form = _pseudo_om_violation(poset, dual=True)
+    lower_form = _pseudo_om_violation(poset)
+    upper_form = _pseudo_om_violation(poset.dual)
     if (lower_form is None) != (upper_form is None):
         raise InternalError("the two pseudo-orthomodularity identities must agree")
     if lower_form is None:

@@ -264,6 +264,15 @@ class FinitePoset:
         return self.by_down.get(self.lower_cone(subset))
 
     @property
+    def dual(self) -> "FinitePoset":
+        """The same names and involution on the reversed order: the up and
+        down rows swapped, and the bounds; built on first use and kept.
+        A statement's dual form is the same statement on this poset, so
+        each walk of :mod:`~posetkit.checks` is written once.  The
+        ``by_up`` and ``by_down`` dicts, when already built, are shared."""
+        return self.kept(_dual)
+
+    @property
     def meet_sets(self) -> tuple[Sequence[ElementSet], dict[ElementSet, int]]:
         """(sets, index), element k being the down-set sets[k]: on a lattice
         the meet of a and b is ``index[sets[a] & sets[b]]``.  Here the
@@ -354,19 +363,22 @@ def _lower_cover_rows(poset: FinitePoset) -> tuple[ElementSet, ...]:
     return transposed(poset.upper_covers, poset.n)
 
 
+def _dual(poset: FinitePoset) -> FinitePoset:
+    # every slot set here, the names and their id dict shared: checks on
+    # a fresh poset build its dual, so making one must cost next to nothing
+    dual = FinitePoset.__new__(FinitePoset)
+    dual.n, dual.names, dual.inv, dual.full, dual._ids = (
+        poset.n, poset.names, poset.inv, poset.full, poset._ids)
+    dual.up, dual.down, dual.bottom, dual.top = poset.down, poset.up, poset.top, poset.bottom
+    dual._by_up, dual._by_down, dual._perp, dual._kept = poset._by_down, poset._by_up, None, {}
+    return dual
+
+
 def _join_irreducibles(poset: FinitePoset) -> int:
-    """The x with closure(↓x \\ {x}) != ↓x, as a mask."""
-    return _irreducibles(poset.lower_cone, poset.upper_cone, poset.down)
-
-
-def _meet_irreducibles(poset: FinitePoset) -> int:
-    """The x with U(L(↑x \\ {x})) != ↑x, as a mask."""
-    return _irreducibles(poset.upper_cone, poset.lower_cone, poset.up)
-
-
-def _irreducibles(lo, up, rows: Sequence[int]) -> int:
-    out = 0
-    for x, row in enumerate(rows):
+    """The x with closure(↓x \\ {x}) != ↓x, as a mask; on ``poset.dual``,
+    the meet-irreducibles."""
+    lo, up, out = poset.lower_cone, poset.upper_cone, 0
+    for x, row in enumerate(poset.down):
         if lo(up(row ^ (1 << x))) != row:
             out |= 1 << x
     return out

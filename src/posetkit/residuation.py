@@ -21,12 +21,13 @@ from .report import CheckReport
 KINDS = ("boolean", "relpseudo", "pseudo_om")
 
 
-def relative_pseudocomplement(poset: FinitePoset, x: int, y: int) -> int | None:
-    """Greatest c with L(c,x) inside L(y), or None.  The candidates are
-    the elements above no member of L(x) outside L(y): a down-set, which has a
-    greatest element exactly when it is principal."""
+def relative_pseudocomplement(poset: FinitePoset, x: int | str, y: int | str) -> int | None:
+    """Greatest c with L(c,x) inside L(y), or None; x and y are ids or
+    names.  The candidates are the elements above no member of L(x)
+    outside L(y): a down-set, which has a greatest element exactly when
+    it is principal."""
     above = 0
-    for d in bits(poset.down[x] & ~poset.down[y]):
+    for d in bits(poset.down[poset.id_of(x)] & ~poset.down[poset.id_of(y)]):
         above |= poset.up[d]
     return poset.by_down.get(poset.full & ~above)
 

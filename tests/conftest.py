@@ -1,6 +1,6 @@
-"""Shared fixtures: the generated poset population, the session's route
-oracle comparisons, and a terminal summary that prints one line per
-acceptance criterion and one per route oracle."""
+"""Shared fixtures: the families and the generated poset population, the
+session's route oracle comparisons, and a terminal summary that prints
+one line per acceptance criterion and one per route oracle."""
 
 import re
 
@@ -10,11 +10,20 @@ import pytest
 pytest.register_assert_rewrite("oracles")
 
 import families
-from oracles import ORACLES, Comparisons
+from oracles import ORACLES, Comparisons, members
 
 from posetkit.checks import PROPERTIES, CheckContext
 
 COMPARISONS = pytest.StashKey[Comparisons]()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def built_families():
+    """Every family, with the completions and size measures that put its
+    members in each oracle's tier-1, built before the first test: the
+    build is that test's setup, and ``--durations`` reports it as such."""
+    for name in ORACLES:
+        members(name, "tier-1")
 
 
 @pytest.fixture(scope="session")

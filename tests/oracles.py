@@ -150,10 +150,8 @@ def scan_pseudocomplement_table(poset):
     return table
 
 
-def chain_distributive_violation(poset, dual):
-    n = poset.n
-    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
-              else (poset.upper_cone, poset.lower_cone))
+def chain_distributive_violation(poset):
+    n, lo, up = poset.n, poset.lower_cone, poset.upper_cone
     for x in range(n):
         for y in range(n):
             outer = up((1 << x) | (1 << y))
@@ -164,10 +162,8 @@ def chain_distributive_violation(poset, dual):
     return None
 
 
-def chain_pseudo_om_violation(poset, dual):
-    inv = poset.inv
-    lo, up = ((poset.lower_cone, poset.upper_cone) if not dual
-              else (poset.upper_cone, poset.lower_cone))
+def chain_pseudo_om_violation(poset):
+    inv, lo, up = poset.inv, poset.lower_cone, poset.upper_cone
     for x in range(poset.n):
         for y in range(poset.n):
             below = lo((1 << x) | (1 << y))
@@ -315,10 +311,9 @@ def compare_de_morgan(poset):
 # -- the pair table and the closure memo against the closure walks ---------------
 
 
-def closure_distributive_violation(poset, dual):
+def closure_distributive_violation(poset):
     """Two closures per triple, every triple in order."""
-    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
-                     else (poset.upper_cone, poset.lower_cone, poset.up))
+    lo, up, below = poset.lower_cone, poset.upper_cone, poset.down
     for x in range(poset.n):
         for y in range(poset.n):
             closed = lo(up((1 << x) | (1 << y)))
@@ -328,11 +323,9 @@ def closure_distributive_violation(poset, dual):
     return None
 
 
-def closure_pseudo_om_violation(poset, dual):
+def closure_pseudo_om_violation(poset):
     """One closure per pair."""
-    inv = poset.inv
-    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
-                     else (poset.upper_cone, poset.lower_cone, poset.up))
+    inv, lo, up, below = poset.inv, poset.lower_cone, poset.upper_cone, poset.down
     for x in range(poset.n):
         for y in range(poset.n):
             pair = below[x] & below[y]
@@ -351,9 +344,9 @@ def compare_closure_walks(poset):
     if complemented(poset):
         walks.append((checks._pseudo_om_violation, closure_pseudo_om_violation))
     for new, old in walks:
-        for dual in (False, True):
-            found = new(poset, dual)
-            assert found == old(poset, dual), (poset.names, new.__name__, dual)
+        for form in (poset, poset.dual):
+            found = new(form)
+            assert found == old(form), (poset.names, new.__name__, form is poset)
             counts["pass" if found is None else "fail"] += 1
     return counts
 
@@ -440,12 +433,10 @@ def compare_exchange(poset):
 # -- the lattice laws against the table walks ------------------------------------
 
 
-def table_distributive_violation(poset, dual):
-    """The cone identities over all n³ triples, y < x only left out,
+def table_distributive_violation(poset):
+    """The cone identity over all n³ triples, y < x only left out,
     with the pair table built in full and every cone worked out."""
-    lo, up, below = ((poset.lower_cone, poset.upper_cone, poset.down) if not dual
-                     else (poset.upper_cone, poset.lower_cone, poset.up))
-    n = poset.n
+    n, lo, up, below = poset.n, poset.lower_cone, poset.upper_cone, poset.down
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for z in range(a, n):
@@ -502,8 +493,8 @@ def tables_modularity_violation(tables, names):
 
 def walked_distributive_poset(poset):
     """Cone distributivity by the two full pair-table walks, lattice or not."""
-    return checks._distributive_report(table_distributive_violation(poset, dual=False),
-                                       table_distributive_violation(poset, dual=True),
+    return checks._distributive_report(table_distributive_violation(poset),
+                                       table_distributive_violation(poset.dual),
                                        poset.names.__getitem__)
 
 
@@ -592,8 +583,8 @@ def compare_lattice_laws(poset):
         cones = [poset.upper_cone(mask) for mask in lattice.closed]
         lattices.append((lattice.closed, cones, walked["completion-distributive"]))
     for sets, cones, report in lattices:
-        for dual in (False, True):
-            assert checks._irreducible_not_prime(poset, sets, cones, dual) != report.holds
+        assert checks._irreducible_not_prime(poset, sets, cones) != report.holds
+        assert checks._irreducible_not_prime(poset.dual, cones, sets) != report.holds
     return Counter(map(verdict, new))
 
 
@@ -843,12 +834,12 @@ def compare_full_walks(poset):
         flat = validated(target) if isinstance(target, DMLattice) else target
         lattice_target = isinstance(target, DMLattice) or is_lattice(target)
         tables = _lattice_tables(flat) if lattice_target else None
-        for dual in (False, True):
-            found = checks._distributive_violation(target, dual)
-            assert found == table_distributive_violation(flat, dual), (target.names, dual)
+        for form, (walked, full) in enumerate(((target, flat), (target.dual, flat.dual))):
+            found = checks._distributive_violation(walked)
+            assert found == table_distributive_violation(full), (target.names, form)
             if lattice_target:
-                assert found == tables_distributive_violations(*key(flat))[dual], (target.names,
-                                                                                  dual)
+                assert found == tables_distributive_violations(*key(flat))[form], (target.names,
+                                                                                  form)
             counts["distributive", found is None] += 1
         if lattice_target:
             bad = tables_modularity_violation(tables, flat.names)

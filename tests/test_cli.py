@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface via cli_main."""
 
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -245,37 +246,41 @@ def test_distributivity_criterion_is_decided_once_per_form(capsys, monkeypatch):
     forms = []
     real = checks._irreducible_not_prime
 
-    def counting(base, sets, cones, dual):
-        forms.append((dual, sets is base.down))
-        return real(base, sets, cones, dual)
+    def counting(base, sets, cones):
+        forms.append((base, sets is base.down))
+        return real(base, sets, cones)
 
     monkeypatch.setattr(checks, "_irreducible_not_prime", counting)
     code, out, _ = run(capsys, "check", "ba16")
     assert code == 0
     assert "check: distributive pass" in out and "check: boolean pass" in out
-    # distributive decides both forms on the lattice itself, boolean reads
-    # the report kept on the poset, completion-distributive decides both
-    # forms again on the closed sets of the completion
-    assert forms == [(False, True), (True, True), (False, False), (True, False)]
+    # distributive decides both forms on the lattice itself, the meet-prime
+    # one on its kept dual; boolean reads the report kept on the poset;
+    # completion-distributive decides both forms again on the closed sets
+    # of the completion, read through the same two posets
+    poset = forms[0][0]
+    assert forms == [(poset, True), (poset.dual, True), (poset, False), (poset.dual, False)]
 
 
 def test_cone_distributivity_is_computed_once_per_form(capsys, monkeypatch):
     forms = []
     real = checks._distributive_violation
 
-    def counting(poset, dual):
-        forms.append(dual)
-        return real(poset, dual)
+    def counting(poset):
+        forms.append(poset)
+        return real(poset)
 
     monkeypatch.setattr(checks, "_distributive_violation", counting)
     code, out, _ = run(capsys, "check", "fig2")
     assert code == 0
     assert "check: distributive fail" in out and "check: boolean fail" in out
-    # fig2 is no lattice, so the pair-table walks decide it; boolean reads
-    # the report kept on the poset; its completion fails Birkhoff's
-    # criterion, and the same walks name the witness of
-    # completion-distributive
-    assert forms == [False, True, False, True]
+    # fig2 is no lattice, so the pair-table walks decide it, the dual form
+    # on its kept dual; boolean reads the report kept on the poset; its
+    # completion fails Birkhoff's criterion, and the same walks name the
+    # witness of completion-distributive
+    poset, _, lattice, _ = forms
+    assert lattice.base is poset
+    assert forms == [poset, poset.dual, lattice, lattice.dual]
 
 
 def assert_broken_invariant_exits_4(capsys, breakage, member, message, prop="distributive"):
@@ -295,20 +300,29 @@ def assert_broken_invariant_exits_4(capsys, breakage, member, message, prop="dis
     assert f"internal error: {message}" in done.stderr
 
 
+def dual_form_broken(real, answer):
+    """``real``, except that on the kept dual of a poset it was called
+    with before it returns ``answer``: the dual form of a check breaks."""
+    seen = []
+
+    def broken(poset, *rest):
+        if any(poset is earlier.dual for earlier in seen):
+            return answer
+        seen.append(poset)
+        return real(poset, *rest)
+    return broken
+
+
 # Breaks the meet-prime form, so the two criteria disagree on mo2.
-_BREAK_CRITERION = """
+_BREAK_CRITERION = inspect.getsource(dual_form_broken) + """
 from posetkit import checks
-real = checks._irreducible_not_prime
-checks._irreducible_not_prime = (
-    lambda base, sets, cones, dual: False if dual else real(base, sets, cones, dual))
+checks._irreducible_not_prime = dual_form_broken(checks._irreducible_not_prime, False)
 """
 
 
 def test_broken_criterion_is_an_internal_error(capsys, monkeypatch):
-    real = checks._irreducible_not_prime
     monkeypatch.setattr(checks, "_irreducible_not_prime",
-                        lambda base, sets, cones, dual:
-                        False if dual else real(base, sets, cones, dual))
+                        dual_form_broken(checks._irreducible_not_prime, False))
     with pytest.raises(InternalError, match="join-prime and meet-prime criteria must agree"):
         checks.is_distributive_poset(load("mo2"))
     assert_broken_invariant_exits_4(capsys, _BREAK_CRITERION, "mo2",
@@ -316,17 +330,15 @@ def test_broken_criterion_is_an_internal_error(capsys, monkeypatch):
 
 
 # Breaks the dual distributivity form, so the two forms disagree on fig2.
-_BREAK_DISTRIBUTIVITY = """
+_BREAK_DISTRIBUTIVITY = inspect.getsource(dual_form_broken) + """
 from posetkit import checks
-real = checks._distributive_violation
-checks._distributive_violation = lambda poset, dual: None if dual else real(poset, dual)
+checks._distributive_violation = dual_form_broken(checks._distributive_violation, None)
 """
 
 
 def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
-    real = checks._distributive_violation
     monkeypatch.setattr(checks, "_distributive_violation",
-                        lambda poset, dual: None if dual else real(poset, dual))
+                        dual_form_broken(checks._distributive_violation, None))
     with pytest.raises(InternalError, match="distributivity identities must agree"):
         checks.is_distributive_poset(load("fig2"))
     assert_broken_invariant_exits_4(capsys, _BREAK_DISTRIBUTIVITY, "fig2",

@@ -1,6 +1,8 @@
 """Core poset construction, cones, and shape predicates."""
 
 import pytest
+from families import FAMILIES, family
+from oracles import completion_or_none, validated
 
 from posetkit import corpus
 from posetkit.completion import complete
@@ -12,6 +14,7 @@ from posetkit.errors import (
     PosetError,
 )
 from posetkit.poset import (
+    _join_irreducibles,
     build_poset,
     is_antitone_involution,
     is_complementation,
@@ -190,3 +193,35 @@ def test_labeled_equal_detects_renames():
     assert not labeled_equal(two_chain(), corpus.load("chain3"))
     flipped = build_poset(["1", "0"], [("1", "0")], involution=[("0", "1")])
     assert not labeled_equal(two_chain(), flipped)
+
+
+@pytest.mark.parametrize("family_name", FAMILIES)
+def test_dual_is_the_reversed_order(family_name):
+    """On every member, and on its completion up to 64 closed sets: the
+    dual validates as the order with the rows swapped, is kept, and has
+    the meet-irreducibles as its join-irreducibles."""
+    for poset in family(family_name).values():
+        lattice = completion_or_none(poset)
+        small = lattice is not None and len(lattice) <= 64
+        for target in (poset, lattice) if small else (poset,):
+            dual = target.dual
+            flat = validated(dual)
+            assert (flat.names, flat.up, flat.down, flat.inv) == (
+                target.names, target.down, target.up, target.inv)
+            assert (flat.bottom, flat.top) == (dual.bottom, dual.top) == (target.top,
+                                                                          target.bottom)
+            assert dual is target.dual
+            assert (dual.dual.up, dual.dual.down) == (target.up, target.down)
+            meet_irreducible = sum(
+                1 << x for x, row in enumerate(target.up)
+                if target.upper_cone(target.lower_cone(row ^ (1 << x))) != row)
+            assert _join_irreducibles(dual) == meet_irreducible
+
+
+def test_dual_shares_the_built_lookups():
+    poset = corpus.load("mo2")
+    by_up, by_down = poset.by_up, poset.by_down
+    assert (poset.dual.by_up, poset.dual.by_down) == (by_down, by_up)
+    assert poset.dual.by_up is by_down and poset.dual.by_down is by_up
+    fresh = corpus.load("mo2").dual
+    assert fresh.by_up == {row: k for k, row in enumerate(fresh.up)}

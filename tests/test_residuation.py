@@ -1,10 +1,11 @@
 """Operator pairs, their axioms, and the transformed lattice operations."""
 
 import pytest
+from oracles import scan_relative_pseudocomplement
 
 from posetkit import corpus, residuation
 from posetkit.completion import complete
-from posetkit.errors import NoRelativePseudocomplement
+from posetkit.errors import NoRelativePseudocomplement, PosetError
 from posetkit.residuation import (
     bdm_transform,
     operator_pair,
@@ -31,6 +32,25 @@ def test_relative_pseudocomplement_values():
     one, c1 = chain3.id_of("1"), chain3.id_of("c1")
     assert table[one][c1] == c1
     assert table[c1][one] == one
+
+
+def test_relative_pseudocomplement_checks_its_ids():
+    chain3 = corpus.load("chain3")
+    for bad in (-1, 3):
+        for pair in ((bad, 0), (0, bad)):
+            with pytest.raises(PosetError, match=f"element id {bad} out of range"):
+                relative_pseudocomplement(chain3, *pair)
+    with pytest.raises(PosetError, match="unknown element 'c9'"):
+        relative_pseudocomplement(chain3, "c9", 0)
+    ba8 = corpus.load("ba8")
+    assert relative_pseudocomplement(ba8, "a", "b") == ba8.id_of("a'")
+    # the kept table, which goes through the same checks, has the entries
+    # of the scan for the greatest c with L(c,x) inside L(y)
+    for name in corpus.member_names():
+        poset = corpus.load(name)
+        ids = range(poset.n)
+        assert poset.kept(residuation._relative_pseudocomplements) == tuple(
+            tuple(scan_relative_pseudocomplement(poset, x, y) for y in ids) for x in ids), name
 
 
 def test_relative_pseudocomplement_can_be_missing():
