@@ -11,7 +11,6 @@ is the same walk on ``poset.dual``, the reversed order.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Iterator, Sequence
 
 from .completion import DMLattice, complete, DEFAULT_MAX_CLOSED_SETS
@@ -32,7 +31,6 @@ from .poset import (
     is_complementation,
     is_lattice,
     lattice_violation,
-    maximal_orthogonal_subsets,
     orthogonal_subsets,
 )
 from .report import CheckReport
@@ -116,10 +114,11 @@ def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequen
     closure(↓x \\ {x}) != ↓x.  Such a j is join-prime exactly when
     X ∨ ↓j, that is L(U(X) ∩ ↑j), holds no irreducible outside X ∪ ↓j,
     for every closed X not containing j; one lower cone per distinct
-    U(X) ∩ ↑j.  On ``base.dual``, with the sets and cones swapped, it
-    reads the lattice through the U(X) and asks the same of the
-    meet-irreducibles.  The irreducibles are kept on ``base``."""
-    lo, below, above = base.lower_cone, base.down, base.up
+    U(X) ∩ ↑j, looked up in ``by_up`` first, as L(↑m) = ↓m.  On
+    ``base.dual``, with the sets and cones swapped, it reads the lattice
+    through the U(X) and asks the same of the meet-irreducibles.  The
+    irreducibles are kept on ``base``."""
+    lo, below, above, by_above = base.lower_cone, base.down, base.up, base.by_up
     irreducible = base.kept(_join_irreducibles)
     joins = {}
     for closed, cone in zip(sets, cones):
@@ -127,7 +126,8 @@ def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequen
             mask = cone & above[j]
             joined = joins.get(mask)
             if joined is None:
-                joined = joins[mask] = lo(mask)
+                m = by_above.get(mask)
+                joined = joins[mask] = lo(mask) if m is None else below[m]
             if joined & irreducible & ~(closed | below[j]):
                 return True
     return False
@@ -510,23 +510,72 @@ def finch_criterion(poset: FinitePoset, lattice: DMLattice | None = None) -> Che
     """Every maximal orthogonal subset of a closed set generates it.
 
     Equivalent to the completion being an orthomodular lattice; the
-    closed set of 0 alone is excluded from the quantification.
+    closed set of 0 alone is excluded from the quantification.  The
+    witness is the first maximal orthogonal subset that fails, in the
+    order of :func:`_first_ungenerating`'s search.
     """
     poset.require_complementation("the criterion")
     if lattice is None:
         lattice = complete(poset)
     zero_closed = lattice.closed[lattice.bottom]
-    for mask in lattice.closed:
+    for mask, gens in zip(lattice.closed, lattice.generators):
         if mask == zero_closed:
             continue
-        for subset in maximal_orthogonal_subsets(poset, mask):
-            if poset.closure(subset) != mask:
-                return CheckReport(
-                    "finch", False,
-                    witness={"closed-set": poset.names_of(mask),
-                             "maximal-orthogonal": poset.names_of(subset)},
-                    details="maximal orthogonal subset generates a smaller closed set")
+        subset = _first_ungenerating(poset, mask, poset.upper_cone(gens))
+        if subset is not None:
+            return CheckReport(
+                "finch", False,
+                witness={"closed-set": poset.names_of(mask),
+                         "maximal-orthogonal": poset.names_of(subset)},
+                details="maximal orthogonal subset generates a smaller closed set")
     return CheckReport("finch", True)
+
+
+def _first_ungenerating(poset: FinitePoset, closed: ElementSet,
+                        cone: ElementSet) -> ElementSet | None:
+    """The first maximal orthogonal subset S of a closed set X with
+    U(S) != U(X), given ``cone`` = U(X), or None.
+
+    The maximal orthogonal subsets are the maximal cliques of the
+    ``perp`` graph on X, found by Bron-Kerbosch (CACM 16, 1973) with
+    both of its cuts: an excluded vertex orthogonal to every candidate
+    would extend each clique found below, so that branch holds none,
+    and once the vertex just taken out is such a vertex the rest of the
+    branch is cut too.  The candidates and excluded vertices always lie
+    inside X, so a ``perp`` row needs no cutting down to X.  U(chosen)
+    is carried down the search, one AND per step.
+
+    U(S) = U(X) exactly when S generates X, that is LU(S) = X: S lies
+    inside X, so U(S) contains U(X); if they are equal then
+    LU(S) = LU(X) = X, as X is closed, and if LU(S) = X then
+    U(S) = ULU(S) = U(X)."""
+    perp, above = poset.perp, poset.up
+
+    def expand(chosen: int, candidates: int, excluded: int, upper: int) -> int | None:
+        if candidates == 0:
+            return chosen if excluded == 0 and upper != cone else None
+        rest = excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if candidates & ~perp[low.bit_length() - 1] == 0:
+                return None
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            row = perp[v]
+            found = expand(chosen | low, candidates & row, excluded & row, upper & above[v])
+            if found is not None:
+                return found
+            candidates ^= low
+            excluded |= low
+            rest ^= low
+            if candidates & ~row == 0:
+                return None
+        return None
+
+    return expand(0, closed, 0, poset.full)
 
 
 # -- doubly dense subsets ------------------------------------------------
@@ -652,7 +701,7 @@ def _lattice_report(ctx: CheckContext) -> CheckReport:
 
 
 def _renamed(report: CheckReport, name: str) -> CheckReport:
-    return dataclasses.replace(report, name=name)
+    return CheckReport(name, report.holds, report.witness, report.details, report.extra)
 
 
 PROPERTIES = {

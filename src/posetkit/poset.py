@@ -525,40 +525,6 @@ def orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[Ele
     yield from rec(0, universe)
 
 
-def maximal_orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[ElementSet]:
-    """The orthogonal subsets of ``universe`` that no other contains: the
-    maximal cliques of the orthogonality graph, by Bron-Kerbosch.  An
-    excluded vertex orthogonal to every candidate would extend each clique
-    found below, so that branch is cut; it yields nothing, so the order of
-    the cliques is the one the full search gives."""
-    compat = _orthogonality_rows(poset, universe)
-
-    def expand(chosen: int, candidates: int, excluded: int) -> Iterator[int]:
-        if candidates == 0:
-            if excluded == 0:
-                yield chosen
-            return
-        rest = excluded
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if candidates & ~compat[low.bit_length() - 1] == 0:
-                return
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            yield from expand(chosen | low, candidates & compat[v],
-                              excluded & compat[v])
-            candidates ^= low
-            excluded |= low
-            rest ^= low
-            if candidates & ~compat[v] == 0:
-                return
-
-    yield from expand(0, universe, 0)
-
-
 def labeled_diff(left: FinitePoset, right: FinitePoset) -> dict | None:
     """First difference in names, order or involution under the name
     matching, as a witness; None when the two posets are equal."""

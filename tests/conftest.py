@@ -17,11 +17,13 @@ from posetkit.checks import PROPERTIES, CheckContext
 COMPARISONS = pytest.StashKey[Comparisons]()
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="session")
 def built_families():
     """Every family, with the completions and size measures that put its
-    members in each oracle's tier-1, built before the first test: the
-    build is that test's setup, and ``--durations`` reports it as such."""
+    members in each oracle's tier-1, built before the first test of the
+    first module that reads them (``pytestmark`` there requests it): the
+    build is that test's setup, and ``--durations`` reports it as such.
+    A run of modules that read no family builds none."""
     for name in ORACLES:
         members(name, "tier-1")
 

@@ -43,7 +43,6 @@ from posetkit.poset import (
     is_complementation,
     is_lattice,
     lattice_violation,
-    maximal_orthogonal_subsets,
     orthogonal_subsets,
 )
 from posetkit.report import CheckReport
@@ -746,6 +745,62 @@ def full_bron_kerbosch(poset, universe):
     yield from expand(0, universe, 0)
 
 
+def maximal_orthogonal_subsets(poset, universe):
+    """The orthogonal subsets of ``universe`` that no other contains: the
+    maximal cliques of the orthogonality graph, by Bron-Kerbosch with the
+    two cuts of ``checks._first_ungenerating``.  An excluded vertex
+    orthogonal to every candidate would extend each clique found below,
+    so that branch is cut; it yields nothing, so the order of the cliques
+    is the one the full search gives."""
+    compat = poset_module._orthogonality_rows(poset, universe)
+
+    def expand(chosen, candidates, excluded):
+        if candidates == 0:
+            if excluded == 0:
+                yield chosen
+            return
+        rest = excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if candidates & ~compat[low.bit_length() - 1] == 0:
+                return
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            yield from expand(chosen | low, candidates & compat[v],
+                              excluded & compat[v])
+            candidates ^= low
+            excluded |= low
+            rest ^= low
+            if candidates & ~compat[v] == 0:
+                return
+
+    yield from expand(0, universe, 0)
+
+
+def enumerated_first_ungenerating(poset, closed, cone):
+    """The first maximal orthogonal subset of the full search whose
+    closure is not the closed set, one closure per subset; ``cone`` is
+    not read."""
+    return next((subset for subset in full_bron_kerbosch(poset, closed)
+                 if poset.closure(subset) != closed), None)
+
+
+class LeafCones:
+    """A stand-in for U(X) that every upper cone is taken to equal: the
+    walk of ``finch`` then passes every maximal orthogonal subset it
+    reaches, and this records the U(S) of each, in the walk's order."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __ne__(self, upper):
+        self.seen.append(upper)
+        return False
+
+
 ORTHOGONALITY_REPORTS = ("finch", "orthocomplete")
 
 
@@ -755,7 +810,11 @@ def compare_generators(poset):
     on a lattice, where every closed set is principal, the names, up rows
     and involution are the base's renumbered.  The orthogonality table
     and the cut search give the same maximal orthogonal subsets of each
-    closed set, in the same order, and the same reports."""
+    closed set, in the same order; on each closed set the walk of
+    ``finch`` reaches them all, in that order, with their upper cones,
+    and finds the first that does not generate it as the enumeration
+    with one closure per subset does; and with the walk swapped for the
+    enumeration the reports are the same."""
     lattice = completion_or_none(poset)
     if lattice is not None:
         rows = element_up_rows(lattice)
@@ -784,12 +843,17 @@ def compare_generators(poset):
     if complemented(poset):
         # the closed sets finch reads; a long chain's would take the full search 2^(n/2) steps
         for mask in getattr(lattice, "closed", ()):
-            assert (list(maximal_orthogonal_subsets(poset, mask))
-                    == list(full_bron_kerbosch(poset, mask))), mask
+            found = list(full_bron_kerbosch(poset, mask))
+            assert list(maximal_orthogonal_subsets(poset, mask)) == found, mask
+            assert (checks._first_ungenerating(poset, mask, poset.upper_cone(mask))
+                    == next((s for s in found if poset.closure(s) != mask), None)), mask
+            leaves = LeafCones()
+            assert checks._first_ungenerating(poset, mask, leaves) is None
+            assert leaves.seen == [poset.upper_cone(s) for s in found], mask
     new = reports(poset, ORTHOGONALITY_REPORTS)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poset_module, "_orthogonality_rows", pairwise_orthogonality_rows)
-        patch.setattr(checks, "maximal_orthogonal_subsets", full_bron_kerbosch)
+        patch.setattr(checks, "_first_ungenerating", enumerated_first_ungenerating)
         assert reports(poset, ORTHOGONALITY_REPORTS) == new, poset.names
     return Counter(map(verdict, new))
 

@@ -12,6 +12,9 @@ from posetkit.completion import check_join_meet_density, complete
 from posetkit.errors import PosetError, SizeLimitExceeded
 from posetkit.poset import FinitePoset, build_poset, is_antitone_involution
 
+# the families, built once a session in the setup of the first test that reads them
+pytestmark = pytest.mark.usefixtures("built_families")
+
 WITH_INVOLUTION = tuple(name for name in corpus.member_names()
                         if name != "diamond")
 

@@ -62,6 +62,9 @@ from posetkit.poset import build_poset, is_lattice
 from posetkit.report import CheckReport
 from posetkit.residuation import KINDS, _lattice_tables, operator_pair
 
+# the families, built once a session in the setup of the first test that reads them
+pytestmark = pytest.mark.usefixtures("built_families")
+
 # -- the registry ---------------------------------------------------------------------
 
 # distinct posets each entry compares over both tiers, no fewer than the

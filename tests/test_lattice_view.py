@@ -25,6 +25,9 @@ from posetkit.errors import NotALattice
 from posetkit.poset import lattice_violation
 from posetkit.residuation import _lattice_tables, bdm_transform
 
+# the families, built once a session in the setup of the first test that reads them
+pytestmark = pytest.mark.usefixtures("built_families")
+
 
 def assert_compared_by_lattice_operations(posets):
     """By the entries whose walks read joins in ``by_up`` and meets in ``meet_sets``."""

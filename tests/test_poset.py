@@ -2,7 +2,7 @@
 
 import pytest
 from families import FAMILIES, family
-from oracles import completion_or_none, validated
+from oracles import completion_or_none, maximal_orthogonal_subsets, validated
 
 from posetkit import corpus
 from posetkit.completion import complete
@@ -21,9 +21,11 @@ from posetkit.poset import (
     is_lattice,
     labeled_equal,
     lattice_violation,
-    maximal_orthogonal_subsets,
     orthogonal_subsets,
 )
+
+# the families, built once a session in the setup of the first test that reads them
+pytestmark = pytest.mark.usefixtures("built_families")
 
 
 def two_chain():

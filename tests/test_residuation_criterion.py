@@ -27,6 +27,9 @@ from posetkit.residuation import (
     verify_left_residuated_lattice,
 )
 
+# the families, built once a session in the setup of the first test that reads them
+pytestmark = pytest.mark.usefixtures("built_families")
+
 
 def first_failing_column(lattice, odot, arrow):
     """The first y at which some x.y <= z and x <= y->z disagree."""
