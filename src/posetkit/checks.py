@@ -18,8 +18,10 @@ from .errors import (
     InternalError,
     MissingBounds,
     MissingInvolution,
+    NoRelativePseudocomplement,
     NotALattice,
     NotComplemented,
+    PosetError,
     SizeLimitExceeded,
 )
 from .poset import (
@@ -107,28 +109,24 @@ def _distributive_report(lower_form: tuple | None, upper_form: tuple | None,
                        details="L(U(x,y),z) differs from LU(L(x,z),L(y,z))")
 
 
-def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequence[int]) -> bool:
+def _irreducible_not_prime(base: FinitePoset, sets: Sequence[int], cones: Sequence[int],
+                           index: dict[int, int]) -> bool:
     """Whether some join-irreducible of a lattice is not join-prime.  The
-    lattice is given by closed sets of ``base`` and their upper cones
-    U(X), and its join-irreducibles are principal: the ↓x with
+    lattice is given by closed sets of ``base``, their upper cones U(X)
+    and the index of each cone, its ``meet_sets`` and ``join_sets``, and
+    its join-irreducibles are principal: the ↓x with
     closure(↓x \\ {x}) != ↓x.  Such a j is join-prime exactly when
-    X ∨ ↓j, that is L(U(X) ∩ ↑j), holds no irreducible outside X ∪ ↓j,
-    for every closed X not containing j; one lower cone per distinct
-    U(X) ∩ ↑j, looked up in ``by_up`` first, as L(↑m) = ↓m.  On
-    ``base.dual``, with the sets and cones swapped, it reads the lattice
-    through the U(X) and asks the same of the meet-irreducibles.  The
-    irreducibles are kept on ``base``."""
-    lo, below, above, by_above = base.lower_cone, base.down, base.up, base.by_up
+    X ∨ ↓j holds no irreducible outside X ∪ ↓j, for every closed X not
+    containing j; X ∨ ↓j is ``sets[index[U(X) & up[j]]]``, as
+    U(X ∨ ↓j) = U(X) ∩ ↑j.  On ``base.dual``, with the sets and cones
+    swapped and the index of the sets, it reads the lattice through the
+    U(X) and asks the same of the meet-irreducibles.  The irreducibles
+    are kept on ``base``."""
+    below, above = base.down, base.up
     irreducible = base.kept(_join_irreducibles)
-    joins = {}
     for closed, cone in zip(sets, cones):
         for j in bits(irreducible & ~closed):
-            mask = cone & above[j]
-            joined = joins.get(mask)
-            if joined is None:
-                m = by_above.get(mask)
-                joined = joins[mask] = lo(mask) if m is None else below[m]
-            if joined & irreducible & ~(closed | below[j]):
+            if sets[index[cone & above[j]]] & irreducible & ~(closed | below[j]):
                 return True
     return False
 
@@ -168,20 +166,13 @@ def _distributive_law(lattice: FinitePoset) -> bool:
     """Whether a lattice is distributive, with no witness: Birkhoff's
     criterion, every join-irreducible join-prime (Davey & Priestley
     2002), decided once on the join- and once on the meet-irreducibles."""
-    if isinstance(lattice, DMLattice):
-        base, sets, cones = lattice.base, lattice.closed, lattice.kept(_closed_upper_cones)
-    else:
-        lattice.require_lattice()
-        base, sets, cones = lattice, lattice.down, lattice.up
-    fails = _irreducible_not_prime(base, sets, cones)
-    if fails != _irreducible_not_prime(base.dual, cones, sets):
+    lattice.require_lattice()
+    base = lattice.base if isinstance(lattice, DMLattice) else lattice
+    (sets, index), (cones, by_cone) = lattice.meet_sets, lattice.join_sets
+    fails = _irreducible_not_prime(base, sets, cones, by_cone)
+    if fails != _irreducible_not_prime(base.dual, cones, sets, index):
         raise InternalError("the join-prime and meet-prime criteria must agree")
     return not fails
-
-
-def _closed_upper_cones(lattice: DMLattice) -> tuple[int, ...]:
-    """U(X) in the base for each closed set X of a completion."""
-    return tuple(map(lattice.base.upper_cone, lattice.closed))
 
 
 def is_boolean_poset(poset: FinitePoset) -> CheckReport:
@@ -325,26 +316,9 @@ def _orthomodular_law(lattice: FinitePoset) -> bool:
     return law
 
 
-def _lattice_ops(lattice: FinitePoset) -> tuple:
-    """Element-valued join and meet of a lattice, with no table: a join
-    is the principal up-set ↑a ∩ ↑b looked up in ``by_up``, a meet
-    ``index[sets[a] & sets[b]]`` of ``meet_sets``.  Raises NotALattice
-    on a poset that is not one."""
-    lattice.require_lattice()
-    up, by_up = lattice.up, lattice.by_up
-    sets, index = lattice.meet_sets
-
-    def join(a: int, b: int) -> int:
-        return by_up[up[a] & up[b]]
-
-    def meet(a: int, b: int) -> int:
-        return index[sets[a] & sets[b]]
-
-    return join, meet
-
-
 def find_modularity_violation(lattice: FinitePoset) -> dict | None:
-    """First x < z and y with x v (y ^ z) != (x v y) ^ z, or None.
+    """First x < z and y with x v (y ^ z) != (x v y) ^ z, or None; raises
+    NotALattice on a poset that is not one.
 
     x = z passes outright, and so does every y comparable to x or to z,
     so only the y incomparable to both are visited and the first
@@ -355,12 +329,15 @@ def find_modularity_violation(lattice: FinitePoset) -> dict | None:
     * y <= z: y ^ z = y, and both sides are x v y;
     * y >= z: x v y >= z, and both sides are z.
     """
-    join, meet = _lattice_ops(lattice)
+    lattice.require_lattice()
+    (cones, join_index), (sets, meet_index) = lattice.join_sets, lattice.meet_sets
     up, down, full, names = lattice.up, lattice.down, lattice.full, lattice.names
     for x in range(lattice.n):
         for z in bits(up[x] & ~(1 << x)):
             for y in bits(full & ~(up[x] | down[x] | up[z] | down[z])):
-                if join(x, meet(y, z)) != meet(join(x, y), z):
+                meet_yz = meet_index[sets[y] & sets[z]]
+                join_xy = join_index[cones[x] & cones[y]]
+                if join_index[cones[x] & cones[meet_yz]] != meet_index[sets[join_xy] & sets[z]]:
                     return {"x": names[x], "y": names[y], "z": names[z]}
     return None
 
@@ -370,14 +347,16 @@ def _semimodular(lattice: FinitePoset) -> bool:
     length is modularity (Grätzer, Lattice Theory: Foundation, 2011).
     Upper: two upper covers a, b of one element have a join covering
     both; lower, dually, two lower covers have a meet covered by both.
-    Read on the kept cover rows, one join or meet per pair of covers."""
-    join, meet = _lattice_ops(lattice)
-    for rows, op in ((lattice.upper_covers, join), (lattice.lower_covers, meet)):
+    Read on the kept cover rows, one join or meet per pair of covers;
+    raises NotALattice on a poset that is not one."""
+    lattice.require_lattice()
+    for rows, (sets, index) in ((lattice.upper_covers, lattice.join_sets),
+                                (lattice.lower_covers, lattice.meet_sets)):
         for row in rows:
             covers = list(bits(row))
             for i, a in enumerate(covers):
                 for b in covers[i + 1:]:
-                    c = 1 << op(a, b)
+                    c = 1 << index[sets[a] & sets[b]]
                     if not rows[a] & rows[b] & c:
                         return False
     return True
@@ -584,6 +563,8 @@ def _first_ungenerating(poset: FinitePoset, closed: ElementSet,
 def is_complement_closed_doubly_dense(lattice: FinitePoset, subset: ElementSet) -> CheckReport:
     """subset contains the bounds, is involution closed, and every
     lattice element is both a join and a meet of subset elements."""
+    if subset & ~lattice.full:
+        raise PosetError("subset mentions unknown elements")
     lattice.require_lattice()
     comp = is_complementation(lattice)
     if not comp.holds:
@@ -735,13 +716,14 @@ def run_check(name: str, poset: FinitePoset,
     return PROPERTIES[name](CheckContext(poset, max_closed_sets))
 
 
-# Errors that leave a property undecided rather than failed: the input
-# lacks what the property presupposes, or its completion hit the cap.
+# Errors that leave a property or a residuation undecided rather than
+# failed: the input lacks what it presupposes, or its completion hit the cap.
 PRECONDITION_ERRORS = (
     MissingInvolution,
     MissingBounds,
     NotComplemented,
     NotALattice,
+    NoRelativePseudocomplement,
     SizeLimitExceeded,
 )
 

@@ -36,7 +36,6 @@ from .completion import DEFAULT_MAX_CLOSED_SETS, complete
 from .errors import (
     CorpusError,
     InternalError,
-    NoRelativePseudocomplement,
     ParseError,
     PosetError,
     SizeLimitExceeded,
@@ -182,7 +181,7 @@ def _cmd_residuate(args) -> int:
         report.add_report(verdict)
         if not verdict.holds:
             code = 1
-    except (NoRelativePseudocomplement,) + PRECONDITION_ERRORS as exc:
+    except PRECONDITION_ERRORS as exc:
         report.add_report(
             _failed_precondition("operator-residuation", exc, kind=args.kind))
         code = 1
@@ -206,7 +205,7 @@ def _cmd_residuate(args) -> int:
             else:
                 report.add("residuate: not left residuated")
                 code = 1
-        except (NoRelativePseudocomplement,) + PRECONDITION_ERRORS as exc:
+        except PRECONDITION_ERRORS as exc:
             report.add_report(
                 _failed_precondition("left-residuated-lattice", exc, kind=args.kind))
             report.add("residuate: not left residuated")

@@ -119,6 +119,13 @@ class DMLattice(FinitePoset):
         return self.closed, self.index
 
     @property
+    def join_sets(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """U(X) in the base for each closed set X, from its generators, and
+        the index of each cone, built on first use and kept: X = LU(X),
+        and U(X v Y) = U(X) ∩ U(Y), so a join reads no up rows."""
+        return self.kept(_join_sets)
+
+    @property
     def upper_covers(self) -> tuple[int, ...]:
         """Row k marks, by index, the closed sets covering closed[k], found
         by joins with the join-irreducibles (:func:`_cover_rows`); kept."""
@@ -138,6 +145,11 @@ def _down_rows(lattice: DMLattice) -> tuple[int, ...]:
     return transposed(lattice.up, len(lattice))
 
 
+def _join_sets(lattice: DMLattice) -> tuple[tuple[int, ...], dict[int, int]]:
+    cones = tuple(map(lattice.base.upper_cone, lattice.generators))
+    return cones, {cone: k for k, cone in enumerate(cones)}
+
+
 def _cover_rows(lattice: DMLattice) -> tuple[int, ...]:
     """Row k marks, by index, the closed sets covering X = closed[k].
     Every closed Y above X is the join of the join-irreducibles below it,
@@ -147,17 +159,18 @@ def _cover_rows(lattice: DMLattice) -> tuple[int, ...]:
     and the covers of X are the minimal C_j (Ganter & Wille, Formal
     Concept Analysis, 1999).  A C_j is minimal exactly when every j' of
     J in C_j \\ X gives C_j again: a j' whose C_j' differs has C_j'
-    inside C_j, and properly so.  Each C_j is one join, the up rows of X
-    and ↓j ANDed and looked up in ``by_up``: O(m·|J|) of them."""
-    irreducible = lattice.base.kept(_join_irreducibles)
-    points = [(1 << j, lattice.embed[j]) for j in bits(irreducible)]
-    closed, up, by_up = lattice.closed, lattice.up, lattice.by_up
+    inside C_j, and properly so.  Each C_j is one join of ``join_sets``,
+    ``index[U(X) & up[j]]`` on base rows: O(m·|J|) of them."""
+    base = lattice.base
+    irreducible = base.kept(_join_irreducibles)
+    points = [(1 << j, base.up[j]) for j in bits(irreducible)]
+    closed, (cones, index) = lattice.closed, lattice.join_sets
     rows = []
-    for mask, row_x in zip(closed, up):
+    for mask, cone in zip(closed, cones):
         found = {}
-        for low, k in points:
+        for low, above in points:
             if not mask & low:
-                c = by_up[row_x & up[k]]
+                c = index[cone & above]
                 found[c] = found.get(c, 0) | low
         row = 0
         for c, outside in found.items():

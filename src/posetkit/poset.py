@@ -10,9 +10,11 @@ desk-scale cost without any third-party numerics.
 Two rules answer every cone question.  A subset has a join exactly when
 its upper cone is a principal up-set (meets dually), so ``join_of`` and
 ``meet_of`` are lookups in ``by_up`` and ``by_down``, and a lattice meet
-is ``index[sets[a] & sets[b]]`` of :attr:`FinitePoset.meet_sets`.  And
-L(U(A) ∪ {z}) = L(U(A)) ∩ ↓z with L(x,y) = ↓x ∩ ↓y, so a composite cone
-term is one :meth:`FinitePoset.closure` cut down by principal rows.
+is ``index[sets[a] & sets[b]]`` of :attr:`FinitePoset.meet_sets`, a join
+the same of :attr:`FinitePoset.join_sets` (on a completion, the base
+upper cones of its closed sets).  And L(U(A) ∪ {z}) = L(U(A)) ∩ ↓z with
+L(x,y) = ↓x ∩ ↓y, so a composite cone term is one
+:meth:`FinitePoset.closure` cut down by principal rows.
 
 Conventions used throughout:
 
@@ -279,6 +281,13 @@ class FinitePoset:
         down rows and ``by_down``."""
         return self.down, self.by_down
 
+    @property
+    def join_sets(self) -> tuple[Sequence[ElementSet], dict[ElementSet, int]]:
+        """(sets, index), element k being the up-set sets[k]: on a lattice
+        the join of a and b is ``index[sets[a] & sets[b]]``.  Here the up
+        rows and ``by_up``, the ``meet_sets`` of :attr:`dual`."""
+        return self.up, self.by_up
+
     # -- small derived data ------------------------------------------------
 
     def atoms(self) -> ElementSet:
@@ -501,16 +510,10 @@ def lattice_violation(poset: FinitePoset) -> dict | None:
     return None
 
 
-def _orthogonality_rows(poset: FinitePoset, universe: ElementSet) -> dict[int, ElementSet]:
-    """Row a marks the members b != a of ``universe`` with a <= b' and
-    b <= a': the poset's ``perp`` rows cut down to ``universe``."""
-    perp = poset.perp
-    return {a: perp[a] & universe for a in bits(universe)}
-
-
 def orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[ElementSet]:
-    """All orthogonal subsets of ``universe``, the empty set included."""
-    compat = _orthogonality_rows(poset, universe)
+    """All orthogonal subsets of ``universe``, the empty set included;
+    the candidates lie inside it, so ``perp`` rows need no cutting."""
+    perp = poset.perp
 
     def rec(chosen: int, candidates: int) -> Iterator[int]:
         yield chosen
@@ -520,7 +523,7 @@ def orthogonal_subsets(poset: FinitePoset, universe: ElementSet) -> Iterator[Ele
             rest ^= low
             a = low.bit_length() - 1
             # rest holds only bits above a, so each subset comes once
-            yield from rec(chosen | low, rest & compat[a])
+            yield from rec(chosen | low, rest & perp[a])
 
     yield from rec(0, universe)
 

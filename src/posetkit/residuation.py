@@ -125,7 +125,8 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
 
     The intersection is taken in two stages: for each base element a
     the row of L(a*b) over b in U(Y_j), then for each closed set X_i the
-    intersection of the rows of its members.  The lift must really be
+    intersection of the rows of its members; each U(Y_j) is read from
+    the completion's ``join_sets``.  The lift must really be
     relative pseudocomplementation on the completion, K ^ X <= Y iff
     K <= X * Y, which ``_first_unadjoint_column`` decides column by
     column for K -> K ^ X and Y -> X * Y; and it
@@ -134,7 +135,7 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     """
     star = _star_table(poset)
     closed, index, full = lattice.closed, lattice.index, poset.full
-    uppers = [tuple(bits(poset.upper_cone(mask))) for mask in closed]
+    uppers = [tuple(bits(cone)) for cone in lattice.join_sets[0]]
     rows = []
     for star_a in star:
         row = []
@@ -202,14 +203,13 @@ def bdm_transform(lattice: FinitePoset, kind: str,
 
 
 def _lattice_tables(lattice: FinitePoset) -> tuple[list[list[int]], list[list[int]]]:
-    """Join and meet of a lattice as m×m tables of element ids by the
-    rules of :func:`~posetkit.checks._lattice_ops`, kept by their readers;
-    raises NotALattice on a poset that is not one."""
+    """Join and meet of a lattice as m×m tables of element ids, kept by
+    their readers: entry (a, b) is ``index[sets[a] & sets[b]]`` of
+    ``join_sets`` and of ``meet_sets``.  Raises NotALattice on a poset
+    that is not one."""
     lattice.require_lattice()
-    up, by_up = lattice.up, lattice.by_up
-    sets, index = lattice.meet_sets
-    return ([[by_up[a & b] for b in up] for a in up],
-            [[index[a & b] for b in sets] for a in sets])
+    return tuple([[index[a & b] for b in sets] for a in sets]
+                 for sets, index in (lattice.join_sets, lattice.meet_sets))
 
 
 def _cover_walk(order: FinitePoset) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -20,7 +20,7 @@ from families import FAMILIES, family, key
 
 from posetkit import checks, residuation
 from posetkit import poset as poset_module
-from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext, _lattice_ops
+from posetkit.checks import PRECONDITION_ERRORS, PROPERTIES, CheckContext
 from posetkit.completion import (
     DEFAULT_MAX_CLOSED_SETS,
     DMLattice,
@@ -65,7 +65,7 @@ def outcome(fn, *args):
     """The result, or the type and text of a precondition error."""
     try:
         return fn(*args)
-    except (*PRECONDITION_ERRORS, NoRelativePseudocomplement) as exc:
+    except PRECONDITION_ERRORS as exc:
         return type(exc), str(exc)
 
 
@@ -582,8 +582,9 @@ def compare_lattice_laws(poset):
         cones = [poset.upper_cone(mask) for mask in lattice.closed]
         lattices.append((lattice.closed, cones, walked["completion-distributive"]))
     for sets, cones, report in lattices:
-        assert checks._irreducible_not_prime(poset, sets, cones) != report.holds
-        assert checks._irreducible_not_prime(poset.dual, cones, sets) != report.holds
+        by_set, by_cone = ({row: k for k, row in enumerate(rows)} for rows in (sets, cones))
+        assert checks._irreducible_not_prime(poset, sets, cones, by_cone) != report.holds
+        assert checks._irreducible_not_prime(poset.dual, cones, sets, by_set) != report.holds
     return Counter(map(verdict, new))
 
 
@@ -752,7 +753,7 @@ def maximal_orthogonal_subsets(poset, universe):
     orthogonal to every candidate would extend each clique found below,
     so that branch is cut; it yields nothing, so the order of the cliques
     is the one the full search gives."""
-    compat = poset_module._orthogonality_rows(poset, universe)
+    compat = {a: poset.perp[a] & universe for a in bits(universe)}
 
     def expand(chosen, candidates, excluded):
         if candidates == 0:
@@ -852,7 +853,8 @@ def compare_generators(poset):
             assert leaves.seen == [poset.upper_cone(s) for s in found], mask
     new = reports(poset, ORTHOGONALITY_REPORTS)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poset_module, "_orthogonality_rows", pairwise_orthogonality_rows)
+        patch.setattr(FinitePoset, "perp", property(
+            lambda poset: tuple(pairwise_orthogonality_rows(poset, poset.full).values())))
         patch.setattr(checks, "_first_ungenerating", enumerated_first_ungenerating)
         assert reports(poset, ORTHOGONALITY_REPORTS) == new, poset.names
     return Counter(map(verdict, new))
@@ -1012,7 +1014,7 @@ def residuation_outcome(poset, kind, lattice, lift, verify):
     try:
         star = lift(poset, lattice) if kind == "relpseudo" else None
         return star, verify(completed, bdm_transform(completed, kind, star))
-    except (NoRelativePseudocomplement,) + PRECONDITION_ERRORS as exc:
+    except PRECONDITION_ERRORS as exc:
         return type(exc)
 
 
@@ -1040,7 +1042,7 @@ def compare_law_route(poset):
         try:
             star = star_on_dm(poset, lattice) if kind == "relpseudo" else None
             ops = bdm_transform(lattice, kind, star)
-        except (NoRelativePseudocomplement,) + PRECONDITION_ERRORS:
+        except PRECONDITION_ERRORS:
             continue
         law = residuation._law_holds(lattice, ops)
         assert (law is not None) == (ops.kind != "relpseudo" and complemented(poset))
@@ -1166,12 +1168,18 @@ def compare_lattice_tables(poset):
     """The meet table a completion reads through its ``(closed, index)``
     is the one its validated copy reads through ``(down, by_down)``; its
     join table is the closure of the union, and the De Morgan dual of
-    that meet table through the induced involution, where there is one;
-    ``_lattice_ops`` reads the same joins and meets.  On the poset and on
-    the validated copy, bdm_transform gives the composed tables or the
-    same precondition error."""
+    that meet table through the induced involution, where there is one.
+    Its ``join_sets`` are the base upper cones of the closed sets, each
+    indexed to its closed set.  On the poset and on the validated copy,
+    bdm_transform gives the composed tables or the same precondition
+    error."""
     lattice = completion_or_none(poset)
     assert lattice.meet_sets == (lattice.closed, lattice.index)
+    closed, index, base = lattice.closed, lattice.index, lattice.base
+    cones, by_cone = lattice.join_sets
+    assert cones == tuple(map(base.upper_cone, closed))
+    assert sorted(by_cone.values()) == list(range(lattice.n))
+    assert all(by_cone[cone] == k for k, cone in enumerate(cones))
     flat = validated(lattice)
     join, meet = _lattice_tables(lattice)
     assert meet == [[flat.by_down[a & b] for b in flat.down] for a in flat.down]
@@ -1179,12 +1187,10 @@ def compare_lattice_tables(poset):
     if inv is not None:
         assert join == [[inv[meet[inv[i]][inv[j]]] for j in range(lattice.n)]
                         for i in range(lattice.n)]
-    closed, index, base = lattice.closed, lattice.index, lattice.base
-    op_join, op_meet = _lattice_ops(lattice)
     for i in range(lattice.n):
         for j in range(lattice.n):
-            assert join[i][j] == op_join(i, j) == index[base.closure(closed[i] | closed[j])]
-            assert meet[i][j] == op_meet(i, j) == index[closed[i] & closed[j]]
+            assert join[i][j] == index[base.closure(closed[i] | closed[j])]
+            assert meet[i][j] == index[closed[i] & closed[j]]
     for target in (poset, flat):
         for kind in KINDS:
             assert (outcome(op_tables, target, kind)

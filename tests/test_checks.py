@@ -21,7 +21,8 @@ from posetkit.checks import (
     run_check,
 )
 from posetkit.completion import complete
-from posetkit.errors import NotALattice, NotComplemented
+from posetkit.errors import NotALattice, NotComplemented, PosetError
+from posetkit.poset import build_poset
 
 
 def test_distributive_verdicts():
@@ -77,6 +78,22 @@ def test_modularity():
     assert not is_modular_lattice(corpus.load("benzene")).holds
     assert find_modularity_violation(complete(corpus.load("fig2"))) is not None
     assert find_modularity_violation(corpus.load("ba16")) is None
+
+
+def test_upper_semimodularity_alone_is_not_modularity():
+    """The flats of four points in general position: a geometric
+    lattice, so upper semimodular, but the lines 12 and 34 meet in 0 and
+    join in 1, so not modular; the lower covers decide it, on the
+    lattice and on its completion, which is the same lattice."""
+    points = ("1", "2", "3", "4")
+    lines = [a + b for i, a in enumerate(points) for b in points[i + 1:]]
+    flats = build_poset(["0", *points, *lines, "1234"],
+                        [("0", p) for p in points] + [(p, line) for line in lines for p in line]
+                        + [(line, "1234") for line in lines])
+    for lattice in (flats, complete(flats)):
+        report = is_modular_lattice(lattice)
+        assert not report.holds
+        assert report.witness == find_modularity_violation(lattice) is not None
 
 
 def test_pseudo_orthomodular_verdicts():
@@ -177,6 +194,13 @@ def test_ccdd_rejects_subsets_missing_bounds_or_symmetry():
     report = is_complement_closed_doubly_dense(mo2, lopsided)
     assert not report.holds
     assert report.details == "subset is not closed under the involution"
+
+
+def test_ccdd_refuses_subsets_with_unknown_elements():
+    ba8 = corpus.load("ba8")
+    for subset in (ba8.full | 1 << 8, -1):
+        with pytest.raises(PosetError, match="^subset mentions unknown elements$"):
+            is_complement_closed_doubly_dense(ba8, subset)
 
 
 def test_run_check_registry():

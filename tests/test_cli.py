@@ -246,9 +246,9 @@ def test_distributivity_criterion_is_decided_once_per_form(capsys, monkeypatch):
     forms = []
     real = checks._irreducible_not_prime
 
-    def counting(base, sets, cones):
+    def counting(base, sets, cones, index):
         forms.append((base, sets is base.down))
-        return real(base, sets, cones)
+        return real(base, sets, cones, index)
 
     monkeypatch.setattr(checks, "_irreducible_not_prime", counting)
     code, out, _ = run(capsys, "check", "ba16")

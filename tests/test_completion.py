@@ -6,7 +6,7 @@ import pytest
 from families import family, member
 from oracles import assert_compared_in_tier_1, next_closure
 
-from posetkit import corpus
+from posetkit import completion, corpus
 from posetkit.build import generate_small
 from posetkit.completion import check_join_meet_density, complete
 from posetkit.errors import PosetError, SizeLimitExceeded
@@ -101,6 +101,14 @@ def test_no_involution_is_lifted_from_a_non_antitone_one():
 def test_completion_meet_sets_agree_with_the_down_rows(population):
     assert_compared_in_tier_1("lattice-tables", [*family("corpus").values(),
                                                  *(row["poset"] for row in population)])
+
+
+def test_join_sets_are_built_on_first_use():
+    """``complete()`` builds no join sets; the first read keeps them."""
+    lattice = complete(corpus.load("fig2"))
+    assert completion._join_sets not in lattice._kept
+    cones, index = lattice.join_sets
+    assert lattice.join_sets[0] is cones and lattice.join_sets[1] is index
 
 
 def test_new_elements_are_named_by_their_maximal_members():

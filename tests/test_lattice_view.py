@@ -14,7 +14,7 @@ from posetkit import poset as poset_module
 from posetkit.checks import (
     PROPERTIES,
     CheckContext,
-    _lattice_ops,
+    _semimodular,
     find_modularity_violation,
     is_distributive_lattice,
     is_distributive_poset,
@@ -58,7 +58,7 @@ def test_non_lattices_raise_the_witness_message():
         poset = corpus.load(name)
         bad = lattice_violation(poset)
         message = f"{bad['x']}, {bad['y']} have no {bad['missing']}"
-        for run in (lambda: _lattice_tables(poset), lambda: _lattice_ops(poset),
+        for run in (lambda: _lattice_tables(poset), lambda: _semimodular(poset),
                     lambda: find_modularity_violation(poset),
                     lambda: PROPERTIES["orthomodular-lattice"](CheckContext(poset)),
                     lambda: bdm_transform(poset, "boolean")):

@@ -218,6 +218,7 @@ def test_dual_is_the_reversed_order(family_name):
                 1 << x for x, row in enumerate(target.up)
                 if target.upper_cone(target.lower_cone(row ^ (1 << x))) != row)
             assert _join_irreducibles(dual) == meet_irreducible
+        assert poset.dual.meet_sets == poset.join_sets
 
 
 def test_dual_shares_the_built_lookups():
