@@ -146,7 +146,10 @@ def _down_rows(lattice: DMLattice) -> tuple[int, ...]:
 
 
 def _join_sets(lattice: DMLattice) -> tuple[tuple[int, ...], dict[int, int]]:
-    cones = tuple(map(lattice.base.upper_cone, lattice.generators))
+    # a principal ↓x, the one closed set generated by x alone, has U = ↑x
+    up, upper = lattice.base.up, lattice.base.upper_cone
+    cones = tuple(up[g.bit_length() - 1] if g.bit_count() == 1 else upper(g)
+                  for g in lattice.generators)
     return cones, {cone: k for k, cone in enumerate(cones)}
 
 

@@ -10,11 +10,12 @@ and the adjunction is the usual order one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, eq
+from itertools import repeat
+from operator import and_
 
 from .checks import _distributive_law, _orthocomplemented, _orthomodular_law
 from .completion import DMLattice
-from .errors import InternalError, NoRelativePseudocomplement, NotComplemented
+from .errors import InternalError, NoRelativePseudocomplement, NotComplemented, PosetError
 from .poset import FinitePoset, bits
 from .report import CheckReport
 
@@ -123,36 +124,48 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     """Lift the relative pseudocomplement to closed sets:
     X * Y = intersection of L(a*b) over a in X, b in U(Y).
 
+    Only a in max X, the ``generators`` of X, and b in min U(Y) count.
+    a*b is antitone in a and monotone in b, so a <= g gives
+    L(g*b) inside L(a*b), and c <= b gives L(a*c) inside L(a*b).  Each a
+    in X lies below some g in max X and each b in U(Y) above some c in
+    min U(Y), so the other pairs add nothing to the intersection.
+
     The intersection is taken in two stages: for each base element a
-    the row of L(a*b) over b in U(Y_j), then for each closed set X_i the
-    intersection of the rows of its members; each U(Y_j) is read from
-    the completion's ``join_sets``.  The lift must really be
+    the row of L(a*b) over b in min U(Y_j), then for each closed set X_i
+    the intersection of the rows of its generators; each U(Y_j) is read
+    from the completion's ``join_sets``.  The lift must really be
     relative pseudocomplementation on the completion, K ^ X <= Y iff
     K <= X * Y, which ``_first_unadjoint_column`` decides column by
-    column for K -> K ^ X and Y -> X * Y; and it
-    must extend the base operation along the embedding.  Either failure
-    raises InternalError.
+    column for K -> K ^ X, each meet a lookup in ``meet_sets``, and
+    Y -> X * Y; and it must extend the base operation along the
+    embedding.  Either failure raises InternalError.  A lattice whose
+    base has other names or up rows than ``poset`` raises PosetError.
     """
     star = _star_table(poset)
-    closed, index, full = lattice.closed, lattice.index, poset.full
-    uppers = [tuple(bits(cone)) for cone in lattice.join_sets[0]]
+    base = lattice.base
+    if base is not poset and (base.names, base.up) != (poset.names, poset.up):
+        raise PosetError("lattice is not the completion of this poset")
+    (closed, index), down, full = lattice.meet_sets, poset.down, poset.full
+    lows = [tuple(b for b in bits(cone) if down[b] & cone == 1 << b)
+            for cone in lattice.join_sets[0]]
     rows = []
     for star_a in star:
         row = []
-        for upper in uppers:
+        for low in lows:
             acc = full
-            for b in upper:
-                acc &= poset.down[star_a[b]]
+            for b in low:
+                acc &= down[star_a[b]]
             row.append(acc)
         rows.append(row)
     table = []
-    for mask in closed:
+    for gens in lattice.generators:
         acc_row = [full] * len(closed)
-        for a in bits(mask):
+        for a in bits(gens):
             acc_row = list(map(and_, acc_row, rows[a]))
         table.append([index[acc] for acc in acc_row])
-    _, meet = lattice.kept(_lattice_tables)
-    if _first_unadjoint_column(lattice, meet, table) is not None:
+    # K ^ X, as a function of K, is row X of the meet
+    meets = ([index[mask & other] for other in closed] for mask in closed)
+    if _first_unadjoint_column(lattice, meets, table) is not None:
         raise InternalError("lifted star must be residual to the meet")
     for x in range(poset.n):
         for y in range(poset.n):
@@ -165,14 +178,28 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
 class ResiduatedOps:
     """Element valued operations on a bounded lattice.
 
-    ``_lattice`` is the lattice :func:`bdm_transform` made them on, or
-    None.  It is a class attribute, not a field, so ``==``, ``repr``,
-    ``astuple`` and ``dataclasses.replace`` ignore it, and ops built by
-    hand or by ``replace`` keep None."""
+    Ops that :func:`bdm_transform` made carry ``_lattice``, the lattice
+    they were made on, and ``_at``, the functions that give entry
+    (x, y) of ``odot`` and of ``arrow`` by lookup; each table is built
+    from them the first time it is read.  Both are class attributes, not
+    fields, so ``==``, ``repr``, ``astuple`` and ``dataclasses.replace``
+    read the tables and ignore them, and ops built by hand or by
+    ``replace`` keep None."""
     kind: str
     odot: tuple
     arrow: tuple
     _lattice = None
+    _at = None
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: a table of made
+        # ops that nobody has read yet
+        if self._at is None or name not in ("odot", "arrow"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        at, ids = self._at[name == "arrow"], range(self._lattice.n)
+        table = tuple(tuple(map(at, repeat(x), ids)) for x in ids)
+        object.__setattr__(self, name, table)
+        return table
 
 
 def bdm_transform(lattice: FinitePoset, kind: str,
@@ -182,34 +209,42 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     boolean:   x.y = x ^ y          x->y = x' v y
     relpseudo: x.y = x ^ y          x->y = x * y
     pseudo_om: x.y = (x v y') ^ y   x->y = (x ^ y) v x'
+
+    Every entry is read by lookup: a meet is ``index[sets[a] & sets[b]]``
+    of ``meet_sets``, a join the same of ``join_sets``, and x * y is
+    entry (x, y) of ``star`` or of the lattice's own table.  The
+    ``odot`` and ``arrow`` tables are built only when a caller reads
+    them, and no table is kept on the lattice.  The preconditions are
+    checked here: NotALattice, then MissingInvolution, or
+    NoRelativePseudocomplement for ``relpseudo`` without a ``star``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    join, meet = lattice.kept(_lattice_tables)
-    ids = range(lattice.n)
+    lattice.require_lattice()
+    sets, index = lattice.meet_sets
+
+    def meet(a, b):
+        return index[sets[a] & sets[b]]
+
     if kind == "relpseudo":
-        odot = meet
-        arrow = star if star is not None else _star_table(lattice)
+        table = star if star is not None else _star_table(lattice)
+        at = meet, lambda x, y: table[x][y]
     else:
         inv = lattice.require_involution()
+        cones, by_cone = lattice.join_sets
+
+        def join(a, b):
+            return by_cone[cones[a] & cones[b]]
+
         if kind == "boolean":
-            odot, arrow = meet, [join[inv[x]] for x in ids]
+            at = meet, lambda x, y: join(inv[x], y)
         else:
-            odot = [[meet[join[x][inv[y]]][y] for y in ids] for x in ids]
-            arrow = [[join[meet[x][y]][inv[x]] for y in ids] for x in ids]
-    ops = ResiduatedOps(kind, tuple(map(tuple, odot)), tuple(map(tuple, arrow)))
-    object.__setattr__(ops, "_lattice", lattice)
+            at = (lambda x, y: meet(join(x, inv[y]), y),
+                  lambda x, y: join(meet(x, y), inv[x]))
+    ops = object.__new__(ResiduatedOps)
+    for name, value in (("kind", kind), ("_lattice", lattice), ("_at", at)):
+        object.__setattr__(ops, name, value)
     return ops
-
-
-def _lattice_tables(lattice: FinitePoset) -> tuple[list[list[int]], list[list[int]]]:
-    """Join and meet of a lattice as m×m tables of element ids, kept by
-    their readers: entry (a, b) is ``index[sets[a] & sets[b]]`` of
-    ``join_sets`` and of ``meet_sets``.  Raises NotALattice on a poset
-    that is not one."""
-    lattice.require_lattice()
-    return tuple([[index[a & b] for b in sets] for a in sets]
-                 for sets, index in (lattice.join_sets, lattice.meet_sets))
 
 
 def _cover_walk(order: FinitePoset) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -236,9 +271,10 @@ def _arrow_rows(order: FinitePoset, column) -> list[int]:
     return rows
 
 
-def _first_unadjoint_column(order: FinitePoset, odot, arrow) -> int | None:
+def _first_unadjoint_column(order: FinitePoset, columns, arrow) -> int | None:
     """First y at which x.y <= z and x <= y->z disagree for some x, z,
-    or None.
+    or None; ``columns`` yields column y of odot, x.y over x, and
+    ``arrow`` row y of arrow, y->z over z, for each y in turn.
 
     For each y the adjunction says that the z above x.y, the row
     up[x.y], are the z with x <= y->z, the row :func:`_arrow_rows` gives
@@ -246,7 +282,7 @@ def _first_unadjoint_column(order: FinitePoset, odot, arrow) -> int | None:
     pass of O(n + covers) word ORs per column.
     """
     up = order.up
-    for y, (f, g) in enumerate(zip(zip(*odot), arrow)):
+    for y, (f, g) in enumerate(zip(columns, arrow)):
         if _arrow_rows(order, g) != list(map(up.__getitem__, f)):
             return y
     return None
@@ -254,11 +290,26 @@ def _first_unadjoint_column(order: FinitePoset, odot, arrow) -> int | None:
 
 def _adjunction_witness(lattice: FinitePoset, odot, arrow, y: int) -> tuple[int, int] | None:
     """First x, then first z, with x.y <= z and x <= y->z disagreeing,
-    or None: the rows of column y compared one x at a time."""
-    for x, row in enumerate(_arrow_rows(lattice, arrow[y])):
-        if lattice.up[odot[x][y]] != row:
-            return x, next(bits(lattice.up[odot[x][y]] ^ row))
+    or None: the rows of column y compared one x at a time, each entry
+    read through ``odot(x, y)`` and ``arrow(y, z)``."""
+    ids = range(lattice.n)
+    for x, row in enumerate(_arrow_rows(lattice, [arrow(y, z) for z in ids])):
+        above = lattice.up[odot(x, y)]
+        if above != row:
+            return x, next(bits(above ^ row))
     return None
+
+
+def _table_entries(ops: ResiduatedOps, n: int):
+    """The entry functions of ops read from their tables, which must be
+    n rows of n element ids; raises PosetError otherwise."""
+    odot, arrow = ops.odot, ops.arrow
+    for table in (odot, arrow):
+        if len(table) != n or not all(
+                len(row) == n and all(isinstance(v, int) and 0 <= v < n for v in row)
+                for row in table):
+            raise PosetError(f"{ops.kind} tables are not {n} rows of {n} element ids")
+    return (lambda x, y: odot[x][y]), (lambda x, y: arrow[x][y])
 
 
 def _law_holds(lattice: FinitePoset, ops: ResiduatedOps) -> bool | None:
@@ -302,16 +353,26 @@ def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
       adjunction at x = b, y = a' gives b <= a' -> (b.a') =
       ((b v a) ^ a') v a = (b ^ a') v a, and so b = a v (a' ^ b).
 
-    Anywhere else the tables are read column by column with
+    Ops that :func:`bdm_transform` made on this lattice are read entry by
+    entry through their lookups, and no table is built.  The unit law
+    takes O(m) of them; on an ortholattice it holds by proof, as 1' = 0
+    gives x.1 = (x v 0) ^ 1 = x and 1.x = (1 v x') ^ x = x.  Other ops
+    are read from their tables, which must be m rows of m element ids,
+    or PosetError is raised.  Anywhere the law does not hold, or no law
+    is known, the entries are read column by column with
     ``_first_unadjoint_column``.  On a failure the first failing y is
     walked in full to name the first x, then the first z, where the two
     sides disagree; a failed law whose columns all pass, or a failing
     column the walk cannot witness, raises InternalError.
 
     Commutativity of odot is reported as a flag; associativity too when
-    asked for, and neither is required for the check to hold.  On the
-    law route the flag is known: yes for ``boolean``, whose x.y is x ^ y,
-    and for ``pseudo_om`` yes exactly when L is distributive.  If L is,
+    asked for, from the odot table, which is then built, and neither is
+    required for the check to hold.  For made ``boolean`` and
+    ``relpseudo`` ops x.y is x ^ y, so the flag is yes.  For made
+    ``pseudo_om`` ops on an ortholattice it is yes exactly when L is
+    distributive, which asks Birkhoff's criterion only once the
+    orthomodular law holds: a distributive ortholattice is Boolean, so
+    orthomodular.  Other ops have it read pair by pair.  If L is,
     (x v y') ^ y = (x ^ y) v (y' ^ y) = x ^ y.  Conversely,
     x ^ y <= x.y = y.x <= x ^ y, so x.y = x ^ y throughout; for a <= b
     that is (a v b') ^ b = a, so L is orthomodular.  At (y', x) and
@@ -321,27 +382,33 @@ def verify_left_residuated_lattice(lattice: FinitePoset, ops: ResiduatedOps,
     (Kalmbach, Orthomodular Lattices, 1983, s. 3).
     """
     _, top = lattice.require_bounds()
-    n = lattice.n
-    names = lattice.names
-    odot, arrow = ops.odot, ops.arrow
-
-    commutative = all(map(eq, map(tuple, odot), zip(*odot)))
+    n, names, ids = lattice.n, lattice.names, range(lattice.n)
+    made = ops._lattice is lattice
+    odot, arrow = ops._at if made else _table_entries(ops, n)
+    unit = next((x for x in ids if odot(x, top) != x or odot(top, x) != x), None)
+    law = None if unit is not None else _law_holds(lattice, ops)
+    if made and ops.kind != "pseudo_om":
+        commutative = True  # odot is the meet
+    elif law is not None:
+        commutative = law and _distributive_law(lattice)
+    else:
+        commutative = all(odot(x, y) == odot(y, x) for x in ids for y in range(x))
     associative = "unchecked"
     if check_associativity:
+        table = ops.odot
         associative = "yes" if all(
-            odot[odot[x][y]][z] == odot[x][odot[y][z]]
-            for x in range(n) for y in range(n) for z in range(n)) else "no"
+            table[table[x][y]][z] == table[x][table[y][z]]
+            for x in ids for y in ids for z in ids) else "no"
     flags = {"kind": ops.kind, "commutative": "yes" if commutative else "no",
              "associative": associative}
 
-    for x in range(n):
-        if odot[x][top] != x or odot[top][x] != x:
-            return CheckReport("left-residuated-lattice", False,
-                               witness={"axiom": "unit", "x": names[x]}, extra=flags)
-    law = _law_holds(lattice, ops)
+    if unit is not None:
+        return CheckReport("left-residuated-lattice", False,
+                           witness={"axiom": "unit", "x": names[unit]}, extra=flags)
     if law:
         return CheckReport("left-residuated-lattice", True, extra=flags)
-    y = _first_unadjoint_column(lattice, odot, arrow)
+    columns = ([odot(x, y) for x in ids] for y in ids)
+    y = _first_unadjoint_column(lattice, columns, ([arrow(y, z) for z in ids] for y in ids))
     if y is None:
         if law is False:
             raise InternalError("lattice law and Galois criterion must agree")

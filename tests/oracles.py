@@ -49,7 +49,6 @@ from posetkit.report import CheckReport
 from posetkit.residuation import (
     KINDS,
     OperatorPair,
-    _lattice_tables,
     bdm_transform,
     operator_pair,
     pseudocomplement_table,
@@ -59,6 +58,26 @@ from posetkit.residuation import (
 )
 
 # -- shared helpers ---------------------------------------------------------------
+
+
+def lattice_tables(lattice):
+    """Join and meet of a lattice as m×m tables of element ids: entry
+    (a, b) is ``index[sets[a] & sets[b]]`` of ``join_sets`` and of
+    ``meet_sets``.  Raises NotALattice on a poset that is not one."""
+    lattice.require_lattice()
+    return tuple([[index[a & b] for b in sets] for a in sets]
+                 for sets, index in (lattice.join_sets, lattice.meet_sets))
+
+
+def kept_tables(lattice):
+    """The values kept on ``lattice`` that hold an m×m table, m its size."""
+    def table(value):
+        return (isinstance(value, (list, tuple)) and len(value) == lattice.n
+                and all(isinstance(row, (list, tuple)) and len(row) == lattice.n
+                        for row in value))
+
+    return [value for value in lattice._kept.values()
+            if table(value) or isinstance(value, tuple) and any(map(table, value))]
 
 
 def outcome(fn, *args):
@@ -457,10 +476,10 @@ def table_distributive_violation(poset):
 def tables_distributive_violations(names, up, inv):
     """The lattice forms of the cone identities, (x v y) ^ z against
     (x ^ z) v (y ^ z) and dually, over every triple of the (join, meet)
-    tables of :func:`_lattice_tables` of the lattice poset ``(names, up,
+    tables of :func:`lattice_tables` of the lattice poset ``(names, up,
     inv)``: each form's first triple, walked once however many entries
     read it."""
-    tables = _lattice_tables(FinitePoset(names, up, inv))
+    tables = lattice_tables(FinitePoset(names, up, inv))
     return tuple(_first_undistributed_triple(*pair) for pair in (tables, tables[::-1]))
 
 
@@ -477,7 +496,7 @@ def _first_undistributed_triple(join, meet):
 
 def tables_modularity_violation(tables, names):
     """First x <= z, x != z, and y with x v (y ^ z) != (x v y) ^ z over
-    the (join, meet) tables of :func:`_lattice_tables`, every y visited."""
+    the (join, meet) tables of :func:`lattice_tables`, every y visited."""
     join, meet = tables
     size = len(meet)
     for x in range(size):
@@ -513,13 +532,13 @@ def table_orthomodular_lattice(lattice):
             raise MissingInvolution("completion carries no involution")
         inv, bottom, top = lattice.inv, lattice.bottom, lattice.top
         flat = validated(lattice)
-        (join, meet), names = _lattice_tables(flat), flat.names
+        (join, meet), names = lattice_tables(flat), flat.names
     else:
         if lattice.inv is not None:
             anti = is_antitone_involution(lattice)
             if not anti.holds:
                 raise NotComplemented("involution is not antitone: " + anti.details)
-        (join, meet), names = _lattice_tables(lattice), lattice.names
+        (join, meet), names = lattice_tables(lattice), lattice.names
         inv = lattice.require_involution()
         bottom, top = lattice.require_bounds()
     size = len(meet)
@@ -548,7 +567,7 @@ def table_modular_lattice(lattice):
     """Lattice modularity by the walk of every triple of the join and
     meet tables, a completion's through ``validated``."""
     flat = validated(lattice) if isinstance(lattice, DMLattice) else lattice
-    bad = tables_modularity_violation(_lattice_tables(flat), flat.names)
+    bad = tables_modularity_violation(lattice_tables(flat), flat.names)
     if bad is None:
         return CheckReport("modular", True)
     return CheckReport("modular", False, witness=bad,
@@ -899,7 +918,7 @@ def compare_full_walks(poset):
     for target in (poset, lattice) if lattice is not None else (poset,):
         flat = validated(target) if isinstance(target, DMLattice) else target
         lattice_target = isinstance(target, DMLattice) or is_lattice(target)
-        tables = _lattice_tables(flat) if lattice_target else None
+        tables = lattice_tables(flat) if lattice_target else None
         for form, (walked, full) in enumerate(((target, flat), (target.dual, flat.dual))):
             found = checks._distributive_violation(walked)
             assert found == table_distributive_violation(full), (target.names, form)
@@ -1048,7 +1067,7 @@ def compare_law_route(poset):
         assert (law is not None) == (ops.kind != "relpseudo" and complemented(poset))
         report = verify_left_residuated_lattice(lattice, ops)
         assert report == verify_left_residuated_lattice(lattice, replace(ops)), ops.kind
-        column = residuation._first_unadjoint_column(lattice, ops.odot, ops.arrow)
+        column = residuation._first_unadjoint_column(lattice, zip(*ops.odot), ops.arrow)
         assert column == pair_set_first_column(lattice, ops.odot, ops.arrow), ops.kind
         assert report.holds == (column is None)
         if law is not None:
@@ -1181,7 +1200,7 @@ def compare_lattice_tables(poset):
     assert sorted(by_cone.values()) == list(range(lattice.n))
     assert all(by_cone[cone] == k for k, cone in enumerate(cones))
     flat = validated(lattice)
-    join, meet = _lattice_tables(lattice)
+    join, meet = lattice_tables(lattice)
     assert meet == [[flat.by_down[a & b] for b in flat.down] for a in flat.down]
     inv = lattice.inv
     if inv is not None:
@@ -1253,7 +1272,7 @@ ORACLES = {
     "generators": Oracle(compare_generators, closed_sets, 256, 1024),
     "orthocomplete": Oracle(compare_orthocomplete, lattice_height, 17),
     "full-walks": Oracle(compare_full_walks, largest, 64, 256),
-    "residuation-walks": Oracle(compare_residuation_walks, closed_sets, 64),
+    "residuation-walks": Oracle(compare_residuation_walks, closed_sets, 64, 256),
     "law-route": Oracle(compare_law_route, closed_sets, 256, 1024),
     "commutative-flag": Oracle(compare_commutative_flag, closed_sets, 256),
     "next-closure": Oracle(compare_next_closure, closed_sets, 4096),

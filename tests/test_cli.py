@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import kept_tables, lattice_tables
 
 import posetkit
 from posetkit import (
@@ -373,11 +374,17 @@ def test_full_checks_of_the_corpus_build_no_lattice_tables(capsys, monkeypatch):
     assert len(contexts) == len(member_names())
     for ctx in contexts:
         for lattice in (ctx.poset, ctx.dm):
-            assert residuation._lattice_tables not in lattice._kept, lattice.names
-    # the probe sees the tables once residuation builds them
+            assert not kept_tables(lattice), lattice.names
+    # residuation builds its tables on the ops, once they are read
     ctx = contexts[member_names().index("ba4")]
-    residuation.bdm_transform(ctx.dm, "boolean")
-    assert residuation._lattice_tables in ctx.dm._kept
+    ops = residuation.bdm_transform(ctx.dm, "boolean")
+    assert "odot" not in vars(ops)
+    join, meet = lattice_tables(ctx.dm)
+    assert ops.odot == tuple(map(tuple, meet)) and "odot" in vars(ops)
+    assert not kept_tables(ctx.dm)
+    # and the probe sees tables kept on the lattice
+    ctx.dm.kept(lattice_tables)
+    assert kept_tables(ctx.dm) == [(join, meet)]
 
 
 def test_criterion_failure_without_a_witness_is_an_internal_error(capsys, monkeypatch):

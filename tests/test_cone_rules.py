@@ -38,6 +38,7 @@ from oracles import (
     assert_compared_in_tier_1,
     assert_lookups_match,
     chain_operator_pair,
+    kept_tables,
     members,
     outcome,
     reports,
@@ -60,7 +61,7 @@ from posetkit.errors import (
 )
 from posetkit.poset import build_poset, is_lattice
 from posetkit.report import CheckReport
-from posetkit.residuation import KINDS, _lattice_tables, operator_pair
+from posetkit.residuation import KINDS, operator_pair
 
 # the families, built once a session in the setup of the first test that reads them
 pytestmark = pytest.mark.usefixtures("built_families")
@@ -72,7 +73,7 @@ pytestmark = pytest.mark.usefixtures("built_families")
 FLOOR = {
     "cone-scans": 1447, "de-morgan": 1448, "closure-walks": 1447, "exchange": 1447,
     "lattice-laws": 1445, "completion": 1448, "generators": 1447,
-    "orthocomplete": 1404, "full-walks": 1445, "residuation-walks": 1442, "law-route": 1447,
+    "orthocomplete": 1404, "full-walks": 1445, "residuation-walks": 1445, "law-route": 1447,
     "commutative-flag": 1445, "next-closure": 1448, "brute-force": 464, "lattice-tables": 1442,
 }
 
@@ -410,4 +411,4 @@ def test_crown12_completion_is_modular_on_covers():
     ctx = CheckContext(crown(12))
     assert len(ctx.dm) == 1 << 12
     assert PROPERTIES["completion-modular"](ctx).holds
-    assert _lattice_tables not in ctx.dm._kept
+    assert not kept_tables(ctx.dm)

@@ -42,3 +42,23 @@ def test_readme_library_example_prints_what_it_says():
     with contextlib.redirect_stdout(out):
         exec(compile(block.group(1), "README.md", "exec"), {})
     assert out.getvalue().splitlines()[0] == expected.group(1)
+
+
+def test_readme_transcripts_print_what_they_show():
+    """Every shown line of each ``$ posetkit`` block, but ``...``, the
+    ``time-ms`` line and the shortened digest, comes out in that order."""
+    blocks = re.findall(r"```\n\$ posetkit (.*?)\n(.*?)```", README, re.S)
+    assert len(blocks) == 3
+    for args, shown in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            posetkit.cli.cli_main(args.split())
+        printed = iter(out.getvalue().splitlines())
+        for line in shown.splitlines():
+            if line == "..." or line.startswith("time-ms:"):
+                continue
+            if "sha256:" in line:
+                prefix = line[:line.index("sha256:")]
+                assert any(got.startswith(prefix) for got in printed), (args, line)
+            else:
+                assert line in printed, (args, line)

@@ -7,7 +7,7 @@ the laws a passing completion decides with no tables.
 
 import pytest
 from families import member
-from oracles import assert_compared_in_tier_1, validated
+from oracles import assert_compared_in_tier_1, kept_tables, lattice_tables, validated
 
 from posetkit import checks, completion, corpus
 from posetkit import poset as poset_module
@@ -23,7 +23,7 @@ from posetkit.checks import (
 from posetkit.completion import complete
 from posetkit.errors import NotALattice
 from posetkit.poset import lattice_violation
-from posetkit.residuation import _lattice_tables, bdm_transform
+from posetkit.residuation import bdm_transform
 
 # the families, built once a session in the setup of the first test that reads them
 pytestmark = pytest.mark.usefixtures("built_families")
@@ -58,7 +58,7 @@ def test_non_lattices_raise_the_witness_message():
         poset = corpus.load(name)
         bad = lattice_violation(poset)
         message = f"{bad['x']}, {bad['y']} have no {bad['missing']}"
-        for run in (lambda: _lattice_tables(poset), lambda: _semimodular(poset),
+        for run in (lambda: lattice_tables(poset), lambda: _semimodular(poset),
                     lambda: find_modularity_violation(poset),
                     lambda: PROPERTIES["orthomodular-lattice"](CheckContext(poset)),
                     lambda: bdm_transform(poset, "boolean")):
@@ -86,7 +86,7 @@ def test_a_non_lattice_view_is_refused_once(monkeypatch):
              "orthocomplete")
     assert [exc for _, _, exc in run_properties(ctx, names)].count(None) == 3
     with pytest.raises(NotALattice) as caught:
-        fig3.kept(_lattice_tables)
+        fig3.kept(lattice_tables)
     bad = real(fig3)
     assert str(caught.value) == f"{bad['x']}, {bad['y']} have no {bad['missing']}"
     # the scan while loading found the missing join or meet; the rest reuse it
@@ -99,7 +99,7 @@ def test_passing_completion_laws_build_no_tables_and_no_down_rows():
                         ("fig2", ("completion-orthomodular", "strongly-d-continuous"))):
         ctx = CheckContext(corpus.load(name))
         assert all(PROPERTIES[prop](ctx).holds for prop in props), name
-        assert _lattice_tables not in ctx.dm._kept, name
+        assert not kept_tables(ctx.dm), name
         assert completion._down_rows not in ctx.dm._kept, name
 
 

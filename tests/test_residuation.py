@@ -1,12 +1,13 @@
 """Operator pairs, their axioms, and the transformed lattice operations."""
 
 import pytest
-from oracles import scan_relative_pseudocomplement
+from oracles import composed_tables, kept_tables, scan_relative_pseudocomplement
 
 from posetkit import corpus, residuation
 from posetkit.completion import complete
 from posetkit.errors import NoRelativePseudocomplement, PosetError
 from posetkit.residuation import (
+    ResiduatedOps,
     bdm_transform,
     operator_pair,
     pseudocomplement_table,
@@ -128,6 +129,12 @@ def test_star_on_dm_extends_the_base_operation():
                         == lattice.embed[table[x][y]])
 
 
+def test_star_on_dm_refuses_another_posets_completion():
+    for name, other in (("ba8", "ba16"), ("ba16", "ba8"), ("chain3", "ba8")):
+        with pytest.raises(PosetError, match="lattice is not the completion of this poset"):
+            star_on_dm(corpus.load(name), complete(corpus.load(other)))
+
+
 def test_the_base_pseudocomplements_are_worked_out_once(monkeypatch):
     """Two lifts on one poset and the operator pair read one kept table;
     the public table is a fresh copy each time and still refuses a
@@ -199,3 +206,28 @@ def test_pseudo_om_operations_fail_on_a_non_orthomodular_lattice():
     report = verify_left_residuated_lattice(benzene, ops)
     assert not report.holds
     assert report.witness["axiom"] == "adjunction"
+
+
+def test_tables_of_the_wrong_shape_are_refused():
+    ba16 = complete(corpus.load("ba16"))
+    made = bdm_transform(ba16, "boolean")
+    odot = made.odot
+    for ops in (bdm_transform(complete(corpus.load("ba8")), "boolean"),
+                ResiduatedOps("boolean", odot[:-1], made.arrow),
+                ResiduatedOps("boolean", odot, (odot[0][:-1],) + odot[1:]),
+                ResiduatedOps("boolean", odot, ((16,) * 16,) + odot[1:])):
+        with pytest.raises(PosetError, match="tables are not 16 rows of 16 element ids"):
+            verify_left_residuated_lattice(ba16, ops)
+
+
+@pytest.mark.parametrize("name, kind", [("ba16", "boolean"), ("chain3", "relpseudo"),
+                                        ("fig2", "pseudo_om")])
+def test_a_passing_completion_builds_no_tables(name, kind):
+    poset = corpus.load(name)
+    lattice = complete(poset)
+    star = star_on_dm(poset, lattice) if kind == "relpseudo" else None
+    ops = bdm_transform(lattice, kind, star)
+    assert verify_left_residuated_lattice(lattice, ops).holds
+    assert not kept_tables(lattice)
+    assert not {"odot", "arrow"} & set(vars(ops))
+    assert (ops.odot, ops.arrow) == composed_tables(lattice, kind)

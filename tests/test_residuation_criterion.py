@@ -109,7 +109,7 @@ def tables(draw):
 @given(tables())
 def test_criterion_matches_the_walk_on_arbitrary_tables(drawn):
     lattice, ops = drawn
-    column = residuation._first_unadjoint_column(lattice, ops.odot, ops.arrow)
+    column = residuation._first_unadjoint_column(lattice, zip(*ops.odot), ops.arrow)
     assert column == first_failing_column(lattice, ops.odot, ops.arrow)
     assert column == pair_set_first_column(lattice, ops.odot, ops.arrow)
     assert verify_left_residuated_lattice(lattice, ops) == walk_verify(lattice, ops)
