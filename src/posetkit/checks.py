@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .completion import DMLattice, complete, DEFAULT_MAX_CLOSED_SETS
+from .completion import DMLattice, complete, DEFAULT_MAX_CLOSED_SETS, require_completion_of
 from .errors import (
     InternalError,
     MissingBounds,
@@ -435,10 +435,13 @@ def is_strongly_d_continuous(poset: FinitePoset,
     the completion, this is its exchange condition, scanned over
     the completion's up rows: on a complemented poset it equals
     ``completion-orthomodular``, with no use of pseudo-orthomodularity.
+    A ``lattice`` that is not the completion of ``poset`` raises
+    PosetError.
     """
     poset.require_complementation("strong D-continuity")
     if lattice is None:
         lattice = complete(poset)
+    require_completion_of(poset, lattice)
     closed, inv = lattice.closed, lattice.inv
     zero = closed[lattice.bottom]
     for k, mask in enumerate(closed):
@@ -491,11 +494,13 @@ def finch_criterion(poset: FinitePoset, lattice: DMLattice | None = None) -> Che
     Equivalent to the completion being an orthomodular lattice; the
     closed set of 0 alone is excluded from the quantification.  The
     witness is the first maximal orthogonal subset that fails, in the
-    order of :func:`_first_ungenerating`'s search.
+    order of :func:`_first_ungenerating`'s search.  A ``lattice`` that
+    is not the completion of ``poset`` raises PosetError.
     """
     poset.require_complementation("the criterion")
     if lattice is None:
         lattice = complete(poset)
+    require_completion_of(poset, lattice)
     zero_closed = lattice.closed[lattice.bottom]
     for mask, gens in zip(lattice.closed, lattice.generators):
         if mask == zero_closed:

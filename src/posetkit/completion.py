@@ -6,16 +6,19 @@ x -> L(x); the embedding preserves all existing joins and meets.  The
 closed sets are exactly the carrier together with every intersection of
 principal down-sets L(x), and the meet-irreducible ones alone generate
 them, so they are grown as an intersection-closed family from those rows
-in O(|M|·m) set operations, for |M| meet-irreducibles and m closed sets,
-and then sorted into lectic order; the position in that order is the
-canonical order on completion elements.  Each closed set that is not
-principal is then walked once for its generators, name, up row and
-involution image.
+in O(|M|·m) set operations, for |M| meet-irreducibles and m closed sets;
+a row that can add only itself is taken in O(1), so chains and MO_n take
+O(n).  The family is then sorted into lectic order; the position in that
+order is the canonical order on completion elements.  Each closed set
+that is not principal is then walked once for its generators, name, up
+row and involution image.
 """
 
 from __future__ import annotations
 
-from .errors import InternalError, SizeLimitExceeded
+from typing import Iterable
+
+from .errors import InternalError, PosetError, SizeLimitExceeded
 from .poset import FinitePoset, _join_irreducibles, bits, is_antitone_involution, transposed
 from .report import CheckReport
 
@@ -24,23 +27,38 @@ DEFAULT_MAX_CLOSED_SETS = 100_000
 
 class DMLattice(FinitePoset):
     """Completion of ``base``: all closed subsets in lectic order, as a
-    poset whose element k is the closed set ``closed[k]``.  Its rows
-    record inclusion among distinct sets, so they are reflexive,
-    antisymmetric and transitive by construction and are not validated
-    again; only the names are checked to be distinct."""
+    poset whose element k is the closed set ``closed[k]``; built from
+    the closed sets in any order.  Its rows record inclusion among
+    distinct sets, so they are reflexive, antisymmetric and transitive by
+    construction and are not validated again; only the names are checked
+    to be distinct."""
 
     __slots__ = ("base", "closed", "index", "embed", "generators")
 
-    def __init__(self, base: FinitePoset, closed: list[int]):
-        """One walk over each closed set X that is not principal.  X is a
-        down-set, so its maximal elements, its generators, decide
+    def __init__(self, base: FinitePoset, family: Iterable[int]):
+        """Sorts ``family``, the closed sets of ``base`` in any order, into
+        lectic order, then walks each closed set X that is not principal
+        once.  The sort reads the key strings ``format(mask, n)[::-1]``,
+        whose character e is bit e, built once: strings compare at their
+        lowest differing element, and the set with a 1 there comes later.
+        Joined highest set first, those strings hold in every n-th
+        character from e the bits of e, so ``holders[e]``, the closed sets
+        holding e, is one slice read by ``int``.
+
+        X is a down-set, so its maximal elements, its generators, decide
         inclusion (X inside Y exactly when max X is): a bit e of X is a
         generator when ``X & up[e]`` is e alone, and each ANDs the closed
         sets holding it into the up row of X, adds its name and ANDs ↓e'
         into the involution image.  A principal ↓x is read through x, its
         one generator."""
+        n = base.n
+        width = f"0{n}b"
+        by_key = {format(mask, width)[::-1]: mask for mask in family}
+        keys = sorted(by_key)
+        digits = "".join(reversed(keys))
+        holders = [int(digits[e::n], 2) for e in range(n)]
         self.base = base
-        self.closed = tuple(closed)
+        self.closed = closed = tuple(map(by_key.__getitem__, keys))
         self.index = index = {mask: k for k, mask in enumerate(closed)}
         self.embed = embed = tuple(index[row] for row in base.down)
         # point[k] is the x with closed[k] = ↓x, or None
@@ -50,7 +68,6 @@ class DMLattice(FinitePoset):
         inv = base.inv if base.inv is not None and is_antitone_involution(base).holds else None
         # below_inv[e] is ↓e'; with no involution to lift it cuts nothing
         below_inv = [base.full] * base.n if inv is None else [base.down[i] for i in inv]
-        holders = transposed(self.closed, base.n)
         base_names, base_up, full = base.names, base.up, (1 << len(closed)) - 1
         names, rows, generators, star = [], [], [], []
         for x, mask in zip(point, closed):
@@ -81,7 +98,8 @@ class DMLattice(FinitePoset):
         self.generators = tuple(generators)
         self._store(tuple(names), tuple(rows),
                     None if inv is None else self._lifted_involution(star))
-        self.bottom = index[base.closure(0)]
+        # L(P) is ↓bottom, or empty when there is no bottom
+        self.bottom = index[0 if base.bottom is None else base.down[base.bottom]]
         self.top = index[base.full]
 
     def __len__(self):
@@ -201,30 +219,57 @@ def complete(poset: FinitePoset,
     meet-irreducible rows are taken in, O(|M|·m) set operations for m
     closed sets (Ganter & Wille, Formal Concept Analysis, 1999).
 
+    Two rules take a row in alone, in O(1).  Every member M of the family
+    G is a down-set, so x in M gives M ∩ L(x) = L(x), and the closure of
+    G with L(x) is G, L(x) and the M ∩ (L(x) \\ {x}) for the M without x.
+    (a) ``least``, the intersection of every member, holds x: no member
+    lacks x.  (b) L(x) \\ {x} is a member: each M ∩ (L(x) \\ {x}) is
+    then an intersection of members, a member already.  Either way
+    L(x) is the one new set, and after each row the family is the same
+    set the intersection with every member makes.  A chain takes every
+    row by (a), MO_n every atom after the second by (b), so both
+    complete in O(n) set operations.
+
     Lectic order puts A before B when the lowest element where they
-    differ lies in B, so the family is sorted on its bit-reversed masks.
-    Raises SizeLimitExceeded when there are more than max(cap, 1) closed
-    sets, a completion of one closed set passing any cap.  The family
-    only grows, so that is the size after some row; it is checked after
-    each row taken in, which may at most double it, so the family can
+    differ lies in B; ``DMLattice`` sorts the family so.  Raises
+    SizeLimitExceeded when there are more than max(cap, 1) closed sets,
+    a completion of one closed set passing any cap.  The family only
+    grows, so that is the size after some row; it is checked after each
+    row taken in, which may at most double it, so the family can
     overshoot the cap by up to a factor of 2 before it is refused.
     """
     cap = max(max_closed_sets, 1)
-    family = {poset.full}
-    for row in sorted(poset.down, key=int.bit_count, reverse=True):
+    down = poset.down
+    family, least = {poset.full}, poset.full
+    for x in sorted(range(poset.n), key=[row.bit_count() for row in down].__getitem__,
+                    reverse=True):
+        row = down[x]
         if row in family:
             continue
-        family |= {mask & row for mask in family}
+        if least >> x & 1 or (row ^ 1 << x) in family:
+            family.add(row)
+        else:
+            family |= {mask & row for mask in family}
+        least &= row
         if len(family) > cap:
             raise SizeLimitExceeded(
                 f"more than {max_closed_sets} closed sets; raise max_closed_sets")
-    width = f"0{poset.n}b"
-    return DMLattice(poset, sorted(family, key=lambda mask: format(mask, width)[::-1]))
+    return DMLattice(poset, family)
+
+
+def require_completion_of(poset: FinitePoset, lattice: DMLattice) -> None:
+    """Raise PosetError unless ``lattice`` is the completion of ``poset``:
+    its base is ``poset`` or has the same names and up rows."""
+    base = lattice.base
+    if base is not poset and (base.names, base.up) != (poset.names, poset.up):
+        raise PosetError("lattice is not the completion of this poset")
 
 
 def check_join_meet_density(poset: FinitePoset, lattice: DMLattice) -> CheckReport:
     """Every closed set is the join of embedded elements below it and the
-    meet of embedded elements above it; both of these are LU(X)."""
+    meet of embedded elements above it; both of these are LU(X).  A
+    lattice that is not the completion of ``poset`` raises PosetError."""
+    require_completion_of(poset, lattice)
     for mask in lattice.closed:
         if poset.closure(mask) != mask:
             return CheckReport("join-meet-density", False,

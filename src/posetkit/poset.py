@@ -327,9 +327,12 @@ def transposed(rows: Sequence[int], width: int) -> tuple[int, ...]:
     set bit.  Cutting the columns from one string of the rows' binary
     digits costs one ``format`` per row, one slice and ``int`` per column
     and a little per cell: about 3 steps of the walk per row and per
-    column and one per 40 cells, as fitted to both routes' times on every
-    matrix the benchmark workloads transpose.  The cheaper one is taken;
-    width 0 has no set bits and is walked."""
+    column and one per 40 cells, as fitted to both routes' times on the
+    matrices the benchmark workloads transposed, the closed sets of each
+    completion among them.  The cheaper one is taken; width 0 has no set
+    bits and is walked.  The callers are a completion's down rows, the
+    lower covers and the generator's middle orders; a completion's
+    holders are cut from its lectic sort keys instead."""
     if sum(map(int.bit_count, rows)) > 3 * (len(rows) + width) + len(rows) * width // 40:
         return _transposed_by_digits(rows, width)
     return _transposed_by_bits(rows, width)

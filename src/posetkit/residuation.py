@@ -14,7 +14,7 @@ from itertools import repeat
 from operator import and_
 
 from .checks import _distributive_law, _orthocomplemented, _orthomodular_law
-from .completion import DMLattice
+from .completion import DMLattice, require_completion_of
 from .errors import InternalError, NoRelativePseudocomplement, NotComplemented, PosetError
 from .poset import FinitePoset, bits
 from .report import CheckReport
@@ -142,9 +142,7 @@ def star_on_dm(poset: FinitePoset, lattice: DMLattice) -> list[list[int]]:
     base has other names or up rows than ``poset`` raises PosetError.
     """
     star = _star_table(poset)
-    base = lattice.base
-    if base is not poset and (base.names, base.up) != (poset.names, poset.up):
-        raise PosetError("lattice is not the completion of this poset")
+    require_completion_of(poset, lattice)
     (closed, index), down, full = lattice.meet_sets, poset.down, poset.full
     lows = [tuple(b for b in bits(cone) if down[b] & cone == 1 << b)
             for cone in lattice.join_sets[0]]

@@ -109,8 +109,8 @@ FAMILIES = {
     "corpus": lambda: ((name, corpus.load(name)) for name in corpus.member_names()),
     "crowns": lambda: ((f"crown{k}", crown(k)) for k in (*range(3, 11), 12)),
     "boolean-algebras": lambda: ((f"ba{1 << k}", corpus.boolean_algebra(k)) for k in range(8)),
-    "mo": lambda: ((f"mo{n}", corpus.mo(n)) for n in range(1, 17)),
-    "chains": lambda: ((f"chain{k}", corpus.chain(k)) for k in (2, 3, 5, 9, 17)),
+    "mo": lambda: ((f"mo{n}", corpus.mo(n)) for n in (*range(1, 17), 32, 64)),
+    "chains": lambda: ((f"chain{k}", corpus.chain(k)) for k in (2, 3, 5, 9, 17, 33, 65, 129)),
     "greechie-loops": lambda: ((f"loop{k}", greechie_to_omp(greechie_loop_diagram(k)))
                                for k in range(4, 7)),
     "horizontal-sums": _horizontal_sums,

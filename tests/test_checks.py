@@ -20,7 +20,7 @@ from posetkit.checks import (
     naive_strongly_d_continuous,
     run_check,
 )
-from posetkit.completion import complete
+from posetkit.completion import check_join_meet_density, complete
 from posetkit.errors import NotALattice, NotComplemented, PosetError
 from posetkit.poset import build_poset
 
@@ -172,6 +172,24 @@ def test_finch_verdicts():
     for name in ("fig3", "benzene"):
         report = finch_criterion(corpus.load(name))
         assert not report.holds and report.witness is not None
+
+
+@pytest.mark.parametrize("check", (check_join_meet_density, finch_criterion,
+                                   is_strongly_d_continuous))
+@pytest.mark.parametrize("name, other", (("ba8", "ba16"), ("ba16", "ba8")))
+def test_checks_refuse_another_posets_completion(check, name, other):
+    """A completion with more closed sets than the poset's, or fewer, is
+    refused before it is read."""
+    with pytest.raises(PosetError, match="^lattice is not the completion of this poset$"):
+        check(corpus.load(name), complete(corpus.load(other)))
+
+
+def test_checks_take_the_completion_of_an_equal_poset():
+    poset, lattice = corpus.load("fig3"), complete(corpus.load("fig3"))
+    assert lattice.base is not poset
+    assert check_join_meet_density(poset, lattice).holds
+    assert finch_criterion(poset, lattice) == finch_criterion(poset)
+    assert is_strongly_d_continuous(poset, lattice) == is_strongly_d_continuous(poset)
 
 
 def test_doubly_dense_subsets_of_ba8():

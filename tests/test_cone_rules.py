@@ -38,6 +38,7 @@ from oracles import (
     assert_compared_in_tier_1,
     assert_lookups_match,
     chain_operator_pair,
+    compare_completion,
     kept_tables,
     members,
     outcome,
@@ -71,10 +72,10 @@ pytestmark = pytest.mark.usefixtures("built_families")
 # distinct posets each entry compares over both tiers, no fewer than the
 # comparisons listed in CHANGES.md, so a family that shrinks fails here
 FLOOR = {
-    "cone-scans": 1447, "de-morgan": 1448, "closure-walks": 1447, "exchange": 1447,
-    "lattice-laws": 1445, "completion": 1448, "generators": 1447,
-    "orthocomplete": 1404, "full-walks": 1445, "residuation-walks": 1445, "law-route": 1447,
-    "commutative-flag": 1445, "next-closure": 1448, "brute-force": 464, "lattice-tables": 1442,
+    "cone-scans": 1448, "de-morgan": 1451, "closure-walks": 1448, "exchange": 1452,
+    "lattice-laws": 1450, "completion": 1453, "generators": 1452,
+    "orthocomplete": 1406, "full-walks": 1450, "residuation-walks": 1450, "law-route": 1452,
+    "commutative-flag": 1450, "next-closure": 1453, "brute-force": 464, "lattice-tables": 1443,
 }
 
 
@@ -186,6 +187,14 @@ def test_lookups_are_none_exactly_where_the_scans_are(poset):
             assert found[0] is MissingBounds
         elif kind != "relpseudo":
             assert found[0] is MissingInvolution
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(strict_orders())
+def test_completion_matches_the_replaced_routes_on_unbounded_posets(poset):
+    """With no bottom the empty set is closed, and L(x) \\ {x} is empty at
+    a minimal x: edge cases of the admission rules no family has."""
+    compare_completion(poset)
 
 
 # -- the pair table and the closure memo ----------------------------------------------
@@ -373,12 +382,13 @@ def test_transpose_cuts_digits_only_past_its_cost_line():
             assert taken == [route], (height, width, extra)
 
 
-def test_holder_transpose_takes_each_route():
-    """A chain's closed sets are dense and cut from digits; those of MO_n
-    are sparse and walked."""
+def test_down_row_transpose_takes_each_route():
+    """A chain's completion has dense up rows, cut from digits; that of
+    MO_n has sparse ones, walked.  Building either transposes nothing."""
     with transpose_routes() as (taken, _):
-        complete(corpus.chain(17))
-        complete(corpus.mo(16))
+        chain, mo = complete(corpus.chain(17)), complete(corpus.mo(16))
+        assert chain.down == walked_transpose(chain.up, len(chain))
+        assert mo.down == walked_transpose(mo.up, len(mo))
     assert taken == ["digits", "bits"]
 
 
