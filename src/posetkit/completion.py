@@ -127,8 +127,9 @@ class DMLattice(FinitePoset):
     @property
     def down(self) -> tuple[int, ...]:
         """Row k marks, by index, the closed sets inside closed[k]: the up
-        rows transposed, built on first use and kept.  Only the witness
-        walks and serialisation read them; meets read :attr:`meet_sets`."""
+        rows transposed, built on first use and kept.  Read only by
+        ``_distributive_violation``, ``find_modularity_violation`` and
+        :attr:`dual`; meets read :attr:`meet_sets`."""
         return self.kept(_down_rows)
 
     @property

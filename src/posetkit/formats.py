@@ -10,6 +10,7 @@ starting with ``{`` is read as JSON.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .build import GreechieDiagram
@@ -19,6 +20,8 @@ from .poset import FinitePoset, build_poset
 FORMAT_VERSION = 1
 
 _RESERVED = set(" \t<:#=")
+# reserved in any entry list, and in a name; no token can hold " " or "#"
+_TAB, _IN_NAMES = re.compile("\t"), re.compile("[\t<:=]")
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,15 @@ class PosetDocument:
                            involution=self.involution)
 
 
-def _tokens(rest: str, offset: int):
+def _tokens(rest: str, offset: int, line_no: int, reserved: re.Pattern = _TAB):
+    """The tokens of an entry list, split on spaces, with their columns;
+    the first token holding a ``reserved`` character is a ParseError."""
+    bad = reserved.search(rest)
+    if bad:
+        start = rest.rfind(" ", 0, bad.start()) + 1
+        token = rest[start:].split(" ", 1)[0]
+        raise ParseError(f"{token!r} holds the reserved character {bad.group()!r}",
+                         line=line_no, column=offset + start + 1)
     col = offset
     for token in rest.split(" "):
         if token:
@@ -67,14 +78,14 @@ def parse_poset_document(text: str) -> PosetDocument:
                                  line=line_no, column=offset + 1)
             version = int(value)
         elif key == "elements":
-            for token, col in _tokens(rest, offset):
+            for token, col in _tokens(rest, offset, line_no, _IN_NAMES):
                 if token in seen:
                     raise ParseError(f"duplicate element name {token!r}",
                                      line=line_no, column=col)
                 seen.add(token)
                 names.append(token)
         elif key == "covers":
-            for token, col in _tokens(rest, offset):
+            for token, col in _tokens(rest, offset, line_no):
                 low, sep2, high = token.partition("<")
                 if not sep2 or not low or not high or "<" in high:
                     raise ParseError(f"expected 'a<b', got {token!r}",
@@ -82,14 +93,14 @@ def parse_poset_document(text: str) -> PosetDocument:
                 covers.append((low, high))
         elif key == "involution":
             has_involution = True
-            for token, col in _tokens(rest, offset):
+            for token, col in _tokens(rest, offset, line_no):
                 left, sep2, right = token.partition(":")
                 if not sep2 or not left or not right or ":" in right:
                     raise ParseError(f"expected 'x:y', got {token!r}",
                                      line=line_no, column=col)
                 involution.append((left, right))
         elif key == "meta":
-            for token, col in _tokens(rest, offset):
+            for token, col in _tokens(rest, offset, line_no):
                 name, sep2, value = token.partition("=")
                 if not sep2 or not name:
                     raise ParseError(f"expected 'key=value', got {token!r}",
@@ -210,7 +221,7 @@ def parse_greechie(text: str) -> GreechieDiagram:
                              line=line_no, column=1)
         offset = len(key) + 1
         if key == "atoms":
-            for token, col in _tokens(rest, offset):
+            for token, col in _tokens(rest, offset, line_no, _IN_NAMES):
                 if token in seen:
                     raise ParseError(f"duplicate atom {token!r}",
                                      line=line_no, column=col)
@@ -219,7 +230,7 @@ def parse_greechie(text: str) -> GreechieDiagram:
         elif key == "block":
             block: list[str] = []
             cols: list[int] = []
-            for token, col in _tokens(rest, offset):
+            for token, col in _tokens(rest, offset, line_no):
                 if token in block:
                     raise ParseError(f"atom {token!r} repeated in block",
                                      line=line_no, column=col)

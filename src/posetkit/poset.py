@@ -323,29 +323,9 @@ def transposed(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """The columns of a bit matrix of ``len(rows)`` rows, each under
     ``1 << width``: row j of the result marks the i whose row marks j.
 
-    Both routes are exact.  The walk by the low bit costs one step per
-    set bit.  Cutting the columns from one string of the rows' binary
-    digits costs one ``format`` per row, one slice and ``int`` per column
-    and a little per cell: about 3 steps of the walk per row and per
-    column and one per 40 cells, as fitted to both routes' times on the
-    matrices the benchmark workloads transposed, the closed sets of each
-    completion among them.  The cheaper one is taken; width 0 has no set
-    bits and is walked.  The callers are a completion's down rows, the
-    lower covers and the generator's middle orders; a completion's
-    holders are cut from its lectic sort keys instead."""
-    if sum(map(int.bit_count, rows)) > 3 * (len(rows) + width) + len(rows) * width // 40:
-        return _transposed_by_digits(rows, width)
-    return _transposed_by_bits(rows, width)
-
-
-def _transposed_by_digits(rows: Sequence[int], width: int) -> tuple[int, ...]:
-    # the last row's digits come first, so every width-th digit from
-    # position width-1-j reads column j from its highest row down
-    digits = "".join([format(row, f"0{width}b") for row in reversed(rows)])
-    return tuple(int(digits[width - 1 - j::width] or "0", 2) for j in range(width))
-
-
-def _transposed_by_bits(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    Walked by the low bit, one step per set bit, for a completion's down
+    rows, the lower covers and the generator's middle orders; a
+    completion's holders are cut from its lectic sort keys instead."""
     out = [0] * width
     for i, row in enumerate(rows):
         bit = 1 << i

@@ -214,7 +214,8 @@ def bdm_transform(lattice: FinitePoset, kind: str,
     ``odot`` and ``arrow`` tables are built only when a caller reads
     them, and no table is kept on the lattice.  The preconditions are
     checked here: NotALattice, then MissingInvolution, or
-    NoRelativePseudocomplement for ``relpseudo`` without a ``star``.
+    NoRelativePseudocomplement for ``relpseudo`` without a ``star``; a
+    given ``star`` that is not m rows of m element ids raises PosetError.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -225,6 +226,8 @@ def bdm_transform(lattice: FinitePoset, kind: str,
         return index[sets[a] & sets[b]]
 
     if kind == "relpseudo":
+        if star is not None:
+            _require_ids(lattice.n, kind, star)
         table = star if star is not None else _star_table(lattice)
         at = meet, lambda x, y: table[x][y]
     else:
@@ -298,15 +301,19 @@ def _adjunction_witness(lattice: FinitePoset, odot, arrow, y: int) -> tuple[int,
     return None
 
 
-def _table_entries(ops: ResiduatedOps, n: int):
-    """The entry functions of ops read from their tables, which must be
-    n rows of n element ids; raises PosetError otherwise."""
-    odot, arrow = ops.odot, ops.arrow
-    for table in (odot, arrow):
+def _require_ids(n: int, kind: str, *tables) -> None:
+    """Raise PosetError unless each table is n rows of n element ids."""
+    for table in tables:
         if len(table) != n or not all(
                 len(row) == n and all(isinstance(v, int) and 0 <= v < n for v in row)
                 for row in table):
-            raise PosetError(f"{ops.kind} tables are not {n} rows of {n} element ids")
+            raise PosetError(f"{kind} tables are not {n} rows of {n} element ids")
+
+
+def _table_entries(ops: ResiduatedOps, n: int):
+    """The entry functions of ops read from their checked tables."""
+    odot, arrow = ops.odot, ops.arrow
+    _require_ids(n, ops.kind, odot, arrow)
     return (lambda x, y: odot[x][y]), (lambda x, y: arrow[x][y])
 
 

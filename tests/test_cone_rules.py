@@ -24,7 +24,6 @@ that name a poset or a family assert that the registry compares it in
 tier-1; the others pin the counts and verdicts the comparisons saw.
 """
 
-import contextlib
 import random
 from collections import Counter
 
@@ -49,7 +48,7 @@ from oracles import (
     validated,
 )
 
-from posetkit import corpus
+from posetkit import completion as completion_module, corpus
 from posetkit import poset as poset_module
 from posetkit.checks import PROPERTIES, CheckContext
 from posetkit.completion import DMLattice, complete
@@ -341,55 +340,24 @@ def transpose_matrices():
                             for _ in range(height)), width
 
 
-@contextlib.contextmanager
-def transpose_routes():
-    """Record, in order, the route each call of ``transposed`` takes;
-    yields that list and the unpatched routes by name."""
-    taken = []
-    real = {name: getattr(poset_module, f"_transposed_by_{name}") for name in ("digits", "bits")}
-    with pytest.MonkeyPatch.context() as patch:
-        for name in real:
-            patch.setattr(poset_module, f"_transposed_by_{name}",
-                          lambda rows, width, name=name: taken.append(name) or real[name](rows, width))
-        yield taken, real
+def test_transpose_gives_the_walked_transpose():
+    for rows, width in transpose_matrices():
+        assert poset_module.transposed(rows, width) == walked_transpose(rows, width), (rows, width)
 
 
-def test_both_transpose_routes_give_the_walked_transpose():
-    with transpose_routes() as (taken, real):
-        for rows, width in transpose_matrices():
-            expected = walked_transpose(rows, width)
-            assert poset_module.transposed(rows, width) == expected, (rows, width)
-            assert real["digits"](rows, width) == expected, (rows, width)
-            assert real["bits"](rows, width) == expected, (rows, width)
-    # the choice sends many of these matrices each way
-    assert min(taken.count("digits"), taken.count("bits")) >= 10, taken
-
-
-def test_transpose_cuts_digits_only_past_its_cost_line():
-    """The walk takes a matrix of 3·(rows + width) + rows·width/40 set
-    bits, and the digits take one more."""
-    for height, width in ((1, 1), (16, 16), (256, 16), (16, 256), (128, 128)):
-        line = 3 * (height + width) + height * width // 40
-        for extra, route in ((0, "bits"), (1, "digits")):
-            cells = [(i, j) for i in range(height) for j in range(width)][:line + extra]
-            rows = [0] * height
-            for i, j in cells:
-                rows[i] |= 1 << j
-            if len(cells) < line + extra:
-                continue  # too few cells to reach the line
-            with transpose_routes() as (taken, _):
-                poset_module.transposed(rows, width)
-            assert taken == [route], (height, width, extra)
-
-
-def test_down_row_transpose_takes_each_route():
-    """A chain's completion has dense up rows, cut from digits; that of
-    MO_n has sparse ones, walked.  Building either transposes nothing."""
-    with transpose_routes() as (taken, _):
-        chain, mo = complete(corpus.chain(17)), complete(corpus.mo(16))
-        assert chain.down == walked_transpose(chain.up, len(chain))
-        assert mo.down == walked_transpose(mo.up, len(mo))
-    assert taken == ["digits", "bits"]
+def test_down_rows_are_the_walked_transpose_and_building_transposes_nothing(monkeypatch):
+    """The completions of a chain (dense up rows) and of MO_n (sparse
+    ones): their down rows are the walked transpose, and ``complete()``
+    itself makes no ``transposed`` call."""
+    calls = []
+    real = completion_module.transposed
+    monkeypatch.setattr(completion_module, "transposed",
+                        lambda rows, width: calls.append(width) or real(rows, width))
+    chain, mo = complete(corpus.chain(17)), complete(corpus.mo(16))
+    assert calls == []
+    assert chain.down == walked_transpose(chain.up, len(chain))
+    assert mo.down == walked_transpose(mo.up, len(mo))
+    assert calls == [len(chain), len(mo)]
 
 
 def test_a_missing_involution_image_is_an_internal_error():

@@ -213,6 +213,26 @@ def test_plain_style_rejects_reserved_characters():
                                                             style="json")))
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("elements: 0 a=b 1\n", "'a=b' holds the reserved character '='", (1, 13)),
+    ("elements: 0 a<b:c 1\n", "'a<b:c' holds the reserved character '<'", (1, 13)),
+    ("elements:\t0 a 1\n", "'\\t0' holds the reserved character '\\t'", (1, 10)),
+    ("elements: 0 1\ncovers: 0<1\tx\n", "'0<1\\tx' holds the reserved character '\\t'", (2, 9)),
+    ("elements: 0 1\nmeta: a=\tb\n", "'a=\\tb' holds the reserved character '\\t'", (2, 7)),
+    ("atoms: a b:c\nblock: a\n", "'b:c' holds the reserved character ':'", (1, 10)),
+    ("atoms:\ta b c\nblock: a b c\n", "'\\ta' holds the reserved character '\\t'", (1, 7)),
+    ("atoms: a b c\nblock: a\tb c\n", "'a\\tb' holds the reserved character '\\t'", (2, 8)),
+])
+def test_parsers_refuse_reserved_names_and_tabs(text, message, position):
+    """A name the plain style could not write back, or a tab in any entry
+    list, is refused at its token."""
+    parse = parse_greechie if text.startswith("atoms") else parse_poset
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).startswith(message)
+    assert _position(info.value) == position
+
+
 def test_unknown_style_is_rejected():
     with pytest.raises(PosetError, match="unknown serialization style"):
         serialize_poset(load("chain2"), style="yaml")

@@ -220,6 +220,21 @@ def test_tables_of_the_wrong_shape_are_refused():
             verify_left_residuated_lattice(ba16, ops)
 
 
+@pytest.mark.parametrize("star", [[[0]], [[99] * 8] * 8, [[-1] * 8] * 8, [[0] * 8] * 7],
+                         ids=["1x1", "99", "minus1", "7x8"])
+def test_a_given_star_of_the_wrong_shape_is_refused(star):
+    poset = corpus.load("ba8")
+    lattice = complete(poset)
+    message = "^relpseudo tables are not 8 rows of 8 element ids$"
+    with pytest.raises(PosetError, match=message):
+        bdm_transform(lattice, "relpseudo", star)
+    made = bdm_transform(lattice, "relpseudo")
+    with pytest.raises(PosetError, match=message):
+        verify_left_residuated_lattice(lattice, ResiduatedOps("relpseudo", made.odot, star))
+    ops = bdm_transform(lattice, "relpseudo", star_on_dm(poset, lattice))
+    assert verify_left_residuated_lattice(lattice, ops).holds
+
+
 @pytest.mark.parametrize("name, kind", [("ba16", "boolean"), ("chain3", "relpseudo"),
                                         ("fig2", "pseudo_om")])
 def test_a_passing_completion_builds_no_tables(name, kind):

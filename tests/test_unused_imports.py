@@ -1,9 +1,10 @@
 """Every name a posetkit module imports is used in that module, and
 every function, method and class it defines is used somewhere.
 
-No linter is assumed; this walks each module's syntax tree.  An import
-kept on purpose carries ``# noqa: F401`` on its line.  ``__init__.py``
-imports to re-export, so it is left out of the import check.  A
+No linter is assumed; this walks each module's syntax tree.  The import
+check covers the package and the test modules.  An import kept on
+purpose carries ``# noqa: F401`` on its line.  ``__init__.py`` imports to
+re-export, so it is left out of the import check.  A
 definition counts as used when its name is read, imported, or spelled as
 a string (``setattr`` and the benchmark's span table name functions that
 way) anywhere in ``src/``, ``tests/`` or ``bench/`` outside the
@@ -68,7 +69,8 @@ def test_the_check_sees_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == [("Any", 2)]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
